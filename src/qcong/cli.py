@@ -19,12 +19,11 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closedform, congruence, sums
 from .bigmath import odd_primes_up_to
-from .errors import SingularPoint
 from .qring import QPoly, QRat
 
 IDENTITY_IDS = ("eq9", "eq10", "eq11", "eq12", "eq15", "eq19", "eq21", "eq23")
@@ -36,8 +35,6 @@ _ZERO_BASED = {"eq12", "eq15", "eq19"}
 
 @dataclass
 class RunConfig:
-    command: str
-    claim_ids: list[str] = field(default_factory=list)
     range_limit: int = 1
     q_point: Fraction | None = None
     jobs: int = 1
@@ -238,11 +235,7 @@ def main(argv=None) -> int:
     if args.command == "eval":
         if args.n < 1:
             parser.error(f"--n must be >= 1, got {args.n}")
-        config = RunConfig(command="eval", range_limit=args.n, q_point=args.q)
-        try:
-            return _cmd_eval(config)
-        except SingularPoint as exc:  # unreachable via eval, kept for safety
-            parser.error(str(exc))
+        return _cmd_eval(RunConfig(range_limit=args.n, q_point=args.q))
 
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -251,8 +244,7 @@ def main(argv=None) -> int:
             parser.error(f"--max-n must be >= 1, got {args.max_n}")
         ids = args.ids or list(IDENTITY_IDS)
         config = RunConfig(
-            command="verify-identity", claim_ids=ids, range_limit=args.max_n,
-            jobs=args.jobs, output_format=args.format, output_path=args.out,
+            range_limit=args.max_n, jobs=args.jobs, output_format=args.format, output_path=args.out,
         )
         return _cmd_verify(config, _identity_instance, _identity_instances(ids, args.max_n))
 
@@ -260,8 +252,7 @@ def main(argv=None) -> int:
         parser.error(f"--limit must be >= 3, got {args.limit}")
     ids = args.ids or list(CONGRUENCE_IDS)
     config = RunConfig(
-        command="verify-congruence", claim_ids=ids, range_limit=args.limit,
-        jobs=args.jobs, output_format=args.format, output_path=args.out,
+        range_limit=args.limit, jobs=args.jobs, output_format=args.format, output_path=args.out,
     )
     return _cmd_verify(config, _congruence_instance, _congruence_instances(ids, args.limit))
 

@@ -2,9 +2,22 @@
 
 eq1-eq4 are q-congruences: single (eq1, eq2) and double (eq3, eq4)
 partial sums of the two term families must vanish modulo [n] for odd n.
-Each check can run through two independent pipelines: "folded" works in
-Q[q]/(q^n - 1) (the default), "reduced" builds the exact reduced sum
-and divides by [n]; the verdicts must agree.
+Each check can run through two pipelines, and the verdicts must agree:
+
+- "folded" (the default) builds every term from its cyclotomic exponents
+  over an integer common denominator coprime to [n] and works on the
+  numerators folded modulo q^n - 1;
+- "reduced" expands the raw binomial products at full degree, reduces
+  the sum by trial division with cyclotomic polynomials, and divides the
+  reduced numerator by [n].
+
+The two build the sum from different data: the folded path from the
+term exponents, never expanding a binomial product or dividing by a
+cyclotomic; the reduced path from the expanded binomial products, never
+reading the exponents.  They share only the list-product and division
+kernels and the cyclotomic factorization of a binomial, so an error in
+how either one builds, cancels or combines terms shows as a
+disagreement instead of being repeated by the other.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
 level: writing S(x, p) for the sum over k < p of x^k times the inner

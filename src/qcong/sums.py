@@ -13,13 +13,16 @@ The q side: two families of terms,
 
 whose single and double partial sums are divisible by [n] for odd n.
 Every factor above is a binomial (1 - s*q^m) with a known cyclotomic
-factorization, so terms are reduced exactly by cancelling cyclotomic
-multiplicities, never by a generic gcd.  The sums are assembled two
-independent ways: an exact full-degree pipeline over the binomial
-common denominator (reduced afterwards to a canonical QRat) and a fast
-pipeline that works in Q[q]/(q^n - 1), where the reduced term
-denominators are invertible because they carry only even cyclotomic
-indices while n is odd.
+factorization, so each term has one exact representation: a sign, a
+power of q and the exponent e_d of every cyclotomic Phi_d, read off the
+binomial factorizations with no polynomial arithmetic.  The sums are
+assembled two independent ways.  The reduced pipeline expands the
+binomial products at full degree over the binomial common denominator
+and reduces the sum by cyclotomic trial division to a canonical QRat.
+The folded pipeline puts every term over the integer common denominator
+L = prod Phi_d^(max_k -e_d), which carries only even cyclotomic indices
+and so is coprime to [n] for odd n, and builds each numerator from the
+exponents as an integer polynomial folded modulo q^n - 1.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .qring import (
     _fold_list,
     _int_divmod_unit_lead,
     _list_mul,
-    _poly_inverse_mod,
     _product_of_binomials,
     cyclotomic,
     divrem,
@@ -151,24 +153,30 @@ def _divide_out(coeffs: list, index: int, times: int) -> list:
 
 @lru_cache(maxsize=None)
 def _reduced_term(family: str, k: int):
-    """(sign, qpow, num, den, den_multiplicities) of the reduced k-th term.
+    """Exponent form (sign, qpow, ((d, e_d), ...)) of the k-th term.
 
-    num/den are coprime by construction: the shared cyclotomic
-    multiplicities, read off the binomial factorizations, are divided
-    out exactly.  The monomial q^qpow and the sign are kept symbolic.
+    The term equals sign * q^qpow * prod Phi_d^e_d over the listed d,
+    ascending, where e_d = mult_num(d) - mult_den(d) is read off the
+    binomial factorizations and zero exponents are dropped.  Negative
+    exponents form the reduced denominator.  1 - q^m = -prod_{d|m} Phi_d,
+    so every (1, m) factor, in the numerator or the denominator, flips
+    the sign; 1 + q^m is a product of cyclotomics with no sign.
     """
     sign, qpow, num_binoms, den_binoms = _term_binomials(family, k)
-    num_mult = _cyclotomic_multiplicities(num_binoms)
-    den_mult = _cyclotomic_multiplicities(den_binoms)
-    num = _product_of_binomials(num_binoms)
-    den = _product_of_binomials(den_binoms)
-    for d in sorted(num_mult.keys() & den_mult.keys()):
-        shared = min(num_mult[d], den_mult[d])
-        num = _divide_out(num, d, shared)
-        den = _divide_out(den, d, shared)
-        den_mult[d] -= shared
-    den_mult = +den_mult  # drop zero entries
-    return sign, qpow, QPoly._raw(num), QPoly._raw(den), tuple(sorted(den_mult.items()))
+    exps = _cyclotomic_multiplicities(num_binoms)
+    exps.subtract(_cyclotomic_multiplicities(den_binoms))
+    flips = sum(1 for s, _ in num_binoms + den_binoms if s == 1)
+    return sign * (-1) ** flips, qpow, tuple(sorted((d, e) for d, e in exps.items() if e))
+
+
+def _cyclotomic_product(factors) -> list[int]:
+    """Integer coefficients of the product of Phi_d^e over (d, e) pairs, e >= 0."""
+    out = [1]
+    for d, e in factors:
+        phi = list(cyclotomic(d).coeffs)
+        for _ in range(e):
+            out = _list_mul(out, phi)
+    return out
 
 
 def _family_name(term) -> str:
@@ -181,8 +189,10 @@ def _family_name(term) -> str:
 
 @lru_cache(maxsize=None)
 def _term_qrat(family: str, k: int) -> QRat:
-    sign, qpow, num, den, _ = _reduced_term(family, k)
-    return QRat._from_reduced(num.shift(qpow) * sign, den)
+    sign, qpow, exps = _reduced_term(family, k)
+    num = _cyclotomic_product((d, e) for d, e in exps if e > 0)
+    den = _cyclotomic_product((d, -e) for d, e in exps if e < 0)
+    return QRat._from_reduced(QPoly._raw(num).shift(qpow) * sign, QPoly._raw(den))
 
 
 def c_q_term(k: int) -> QRat:
@@ -305,7 +315,7 @@ def q_double_sum(term, n: int) -> QRat:
 
 
 # ---------------------------------------------------------------------------
-# folded sum pipeline in Q[q]/(q^n - 1)
+# folded sum pipeline in Z[q]/(q^n - 1)
 # ---------------------------------------------------------------------------
 
 
@@ -315,62 +325,76 @@ def _mul_mod_qn(a: list, b: list, n: int) -> list:
 
 @lru_cache(maxsize=32)
 def _folded_terms(family: str, n: int) -> tuple:
-    """Images of the reduced terms in Q[q]/(q^n - 1).
+    """Integer images mod q^n - 1 of the first n terms over one common denominator.
 
-    Requires every reduced term denominator to be coprime to q^n - 1,
-    which holds for odd n because those denominators carry only
-    even cyclotomic indices; a violation raises DenominatorNotCoprime.
+    Term k is N_k / L with L = prod Phi_d^L_d, where L_d is the largest
+    multiplicity of Phi_d in any of the n term denominators, and
+    N_k = sign * q^qpow * prod Phi_d^(e_d + L_d) has integer
+    coefficients.  Each N_k is built folded mod q^n - 1 after every
+    multiply.  A sum of terms then vanishes modulo [n] iff the same sum
+    of the N_k does, because L is coprime to [n]: term denominators carry
+    only even cyclotomic indices and n is odd.  A denominator index d
+    that divides n raises DenominatorNotCoprime.
     """
-    modulus = QPoly._raw((-1,) + (0,) * (n - 1) + (1,)) if n > 1 else QPoly._raw((1,))
-    images = []
-    for k in range(n):
-        sign, qpow, num, den, den_mult = _reduced_term(family, k)
-        bad = [d for d, _ in den_mult if n % d == 0]
+    terms = [_reduced_term(family, k) for k in range(n)]
+    common: dict[int, int] = {}
+    for k, (_, _, exps) in enumerate(terms):
+        bad = [d for d, e in exps if e < 0 and n % d == 0]
         if bad:
             raise DenominatorNotCoprime(
                 f"term {k} denominator shares cyclotomic indices {bad} with q^{n} - 1"
             )
-        if n == 1:
-            num_val = sum(num.coeffs)
-            den_val = sum(den.coeffs)
-            images.append([Fraction(sign * num_val, den_val)])
-            continue
-        folded_num = _fold_list(num.coeffs, n)
-        shifted = [0] * n
-        s = qpow % n
-        for e, c in enumerate(folded_num):
-            shifted[(e + s) % n] += c
-        if sign < 0:
-            shifted = [-c for c in shifted]
-        folded_den = QPoly(_fold_list(den.coeffs, n))
-        inv = _poly_inverse_mod(folded_den, modulus)
-        images.append(_mul_mod_qn(shifted, list(inv.coeffs), n))
-    return tuple(tuple(img) for img in images)
+        for d, e in exps:
+            if e < 0:
+                common[d] = max(common.get(d, 0), -e)
+    phis: dict[int, list] = {}
+    images = []
+    for sign, qpow, exps in terms:
+        mult = dict(common)
+        for d, e in exps:
+            mult[d] = mult.get(d, 0) + e
+        image = [0] * n
+        image[qpow % n] = sign
+        for d, times in mult.items():
+            if d not in phis:
+                phis[d] = _fold_list(cyclotomic(d).coeffs, n)
+            for _ in range(times):
+                image = _mul_mod_qn(image, phis[d], n)
+        images.append(tuple(image))
+    return tuple(images)
 
 
 def folded_single_sum_residue(term, n: int) -> QPoly:
-    """Residue modulo [n] of the single sum, computed entirely in Q[q]/(q^n - 1).
+    """Residue modulo [n] of the single sum, computed entirely in Z[q]/(q^n - 1).
 
-    Zero iff the sum is congruent to 0 modulo [n]; the residue
-    representative differs from the one obtained from the fully reduced
-    sum by a unit factor, so only its vanishing is meaningful.
+    Zero iff the sum is congruent to 0 modulo [n]; the residue is that of
+    the sum times the common denominator L of _folded_terms, a unit
+    modulo [n], so only its vanishing is meaningful.
     """
     if n < 1:
         raise ValueError(f"folded_single_sum_residue needs n >= 1, got {n}")
     acc: list = []
     for image in _folded_terms(_family_name(term), n):
         _accumulate(acc, image)
-    return divrem(QPoly(acc), q_integer(max(n, 1)))[1]
+    return divrem(QPoly(acc), q_integer(n))[1]
 
 
 def folded_double_sum_residue(term, n: int) -> QPoly:
-    """Residue modulo [n] of the double sum, computed in Q[q]/(q^n - 1)."""
+    """Residue modulo [n] of the double sum, computed in Z[q]/(q^n - 1).
+
+    The sum over i + j < n of t(i)t(j) is taken as the sum over j of
+    t(j) * P(n-1-j), with P(m) the prefix sum of t(0..m): n folded
+    products.  Like the single sum, only its vanishing is meaningful.
+    """
     if n < 1:
         raise ValueError(f"folded_double_sum_residue needs n >= 1, got {n}")
-    images = [list(img) for img in _folded_terms(_family_name(term), n)]
+    images = _folded_terms(_family_name(term), n)
+    prefixes = []
+    prefix: list = []
+    for image in images:
+        _accumulate(prefix, image)
+        prefixes.append(list(prefix))
     acc: list = []
-    for j in range(n):
-        for i in range(j, n - j):
-            prod = _mul_mod_qn(images[j], images[i], n)
-            _accumulate(acc, prod, 1 if i == j else 2)
+    for j, image in enumerate(images):
+        _accumulate(acc, _mul_mod_qn(image, prefixes[n - 1 - j], n))
     return divrem(QPoly(acc), q_integer(n))[1]

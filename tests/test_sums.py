@@ -5,8 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from qcong.qring import QPoly, QRat, congruent_zero_mod_qint, q_integer, q_pochhammer
+from qcong.errors import DenominatorNotCoprime
+from qcong.qring import (
+    QPoly,
+    QRat,
+    congruent_zero_mod_qint,
+    cyclotomic,
+    divrem,
+    q_integer,
+    q_pochhammer,
+)
 from qcong.sums import (
+    _folded_terms,
     c_q_term,
     cp_q_term,
     double_sum,
@@ -163,7 +173,7 @@ def test_cp_q_term_one_reduced_form():
 
 @pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
 def test_terms_match_unreduced_products_by_evaluation(family, term):
-    for k in range(6):
+    for k in range(12):
         for q0 in (Fraction(2), Fraction(3), Fraction(-1, 2)):
             assert term(k).evaluate(q0) == unreduced_term_value(family, k, q0)
 
@@ -174,8 +184,8 @@ def test_term_denominators_have_only_even_cyclotomic_content():
 
     for family in ("c", "cp"):
         for k in range(10):
-            den_mult = _reduced_term(family, k)[4]
-            assert all(d % 2 == 0 for d, _ in den_mult), (family, k, den_mult)
+            exps = _reduced_term(family, k)[2]
+            assert all(d % 2 == 0 for d, e in exps if e < 0), (family, k, exps)
 
 
 def test_terms_reject_negative_k():
@@ -227,3 +237,38 @@ def test_folded_residue_detects_non_congruent_input():
     # drop the k=0 term: the remaining sum is no longer divisible by [3]
     broken = q_single_sum(c_q_term, 3) - QRat(1)
     assert not congruent_zero_mod_qint(broken, 3).holds
+
+
+def _residue_mod_qint(images, n):
+    acc = [0] * n
+    for image in images:
+        for e, c in enumerate(image):
+            acc[e] += c
+    return divrem(QPoly(acc), q_integer(n))[1]
+
+
+@pytest.mark.parametrize("family", ["c", "cp"])
+@pytest.mark.parametrize("n", [5, 9, 15])
+def test_folded_images_negative_control(family, n):
+    images = _folded_terms(family, n)
+    assert _residue_mod_qint(images, n).is_zero
+    # dropping the k=0 image breaks the congruence
+    assert not _residue_mod_qint(images[1:], n).is_zero
+    # terms with k > (n-1)/2 contain 1 - q^n (c) or 1 - q^2n (cp), and no
+    # term denominator holds Phi_n, so each vanishes mod Phi_n on its own
+    # (mod [n] = Phi_n for prime n); the last term vanishes mod all of [n],
+    # so dropping it changes nothing
+    phi_n = cyclotomic(n)
+    for image in images[(n + 1) // 2 :]:
+        assert divrem(QPoly(image), phi_n)[1].is_zero
+    assert _residue_mod_qint(images[-1:], n).is_zero
+    assert _residue_mod_qint(images[:-1], n).is_zero
+
+
+@pytest.mark.parametrize("family", ["c", "cp"])
+def test_folded_terms_are_integer_and_refuse_shared_denominator_factors(family):
+    for n in range(1, 16, 2):
+        assert all(type(c) is int for image in _folded_terms(family, n) for c in image)
+    # the k=1 denominator carries Phi_4, which divides q^4 - 1
+    with pytest.raises(DenominatorNotCoprime):
+        _folded_terms(family, 4)
