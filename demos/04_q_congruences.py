@@ -12,8 +12,10 @@ means: [n] divides the numerator and is coprime to the denominator of
 the reduced form.
 
 Each instance is checked through two independent pipelines:
- - folded: all arithmetic in Q[q]/(q^n - 1), valid because [n] | q^n - 1
-   and the reduced term denominators are invertible there;
+ - folded: every term is put over one integer common denominator L, a
+   product of even-index cyclotomics and so coprime to [n] for odd n,
+   and the integer numerators are multiplied in Z[q]/(q^n - 1), valid
+   because [n] | q^n - 1;
  - reduced: the exact sum is assembled at full degree, reduced to lowest
    terms, and divided by [n].
 """

@@ -15,7 +15,6 @@ from .bigmath import (
     rational_mod,
 )
 from .closedform import (
-    ClosedFormValue,
     closed_form,
     closed_form_at,
     closed_form_numerator,

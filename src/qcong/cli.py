@@ -19,7 +19,6 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closedform, congruence, sums
@@ -31,15 +30,6 @@ CONGRUENCE_IDS = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "eq8")
 
 # claims whose instances start at 0 (indexed by k rather than n)
 _ZERO_BASED = {"eq12", "eq15", "eq19"}
-
-
-@dataclass
-class RunConfig:
-    range_limit: int = 1
-    q_point: Fraction | None = None
-    jobs: int = 1
-    output_format: str = "text"
-    output_path: str | None = None
 
 
 def _fmt(value) -> str:
@@ -171,14 +161,13 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_verify(config: RunConfig, worker, instances) -> int:
-    records = _run(worker, list(instances), config.jobs)
-    _emit(_render(records, config.output_format), config.output_path)
+def _cmd_verify(worker, instances, jobs: int, fmt: str, out: str | None) -> int:
+    records = _run(worker, list(instances), jobs)
+    _emit(_render(records, fmt), out)
     return 0 if all(r["holds"] for r in records) else 1
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    n, q0 = config.range_limit, config.q_point
+def _cmd_eval(n: int, q0: Fraction) -> int:
     value = sums.double_sum(n, q0 / 4)
     print(f"double sum   (n={n}, weight (q/4)^k, q={_fmt(q0)}): {_fmt(value)}")
     if q0 == 1:
@@ -187,8 +176,7 @@ def _cmd_eval(config: RunConfig) -> int:
             f"specialized value n(3n^2-3n+2)/2 = {_fmt(closedform.special_q_one(n))}"
         )
     else:
-        cf = closedform.closed_form_at(n, q0)
-        print(f"closed form  (n={n}, q={_fmt(q0)}): {_fmt(cf.at_q[1])}")
+        print(f"closed form  (n={n}, q={_fmt(q0)}): {_fmt(closedform.closed_form_at(n, q0))}")
     return 0
 
 
@@ -235,7 +223,7 @@ def main(argv=None) -> int:
     if args.command == "eval":
         if args.n < 1:
             parser.error(f"--n must be >= 1, got {args.n}")
-        return _cmd_eval(RunConfig(range_limit=args.n, q_point=args.q))
+        return _cmd_eval(args.n, args.q)
 
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -243,18 +231,14 @@ def main(argv=None) -> int:
         if args.max_n < 1:
             parser.error(f"--max-n must be >= 1, got {args.max_n}")
         ids = args.ids or list(IDENTITY_IDS)
-        config = RunConfig(
-            range_limit=args.max_n, jobs=args.jobs, output_format=args.format, output_path=args.out,
-        )
-        return _cmd_verify(config, _identity_instance, _identity_instances(ids, args.max_n))
+        instances = _identity_instances(ids, args.max_n)
+        return _cmd_verify(_identity_instance, instances, args.jobs, args.format, args.out)
 
     if args.limit < 3:
         parser.error(f"--limit must be >= 3, got {args.limit}")
     ids = args.ids or list(CONGRUENCE_IDS)
-    config = RunConfig(
-        range_limit=args.limit, jobs=args.jobs, output_format=args.format, output_path=args.out,
-    )
-    return _cmd_verify(config, _congruence_instance, _congruence_instances(ids, args.limit))
+    instances = _congruence_instances(ids, args.limit)
+    return _cmd_verify(_congruence_instance, instances, args.jobs, args.format, args.out)
 
 
 if __name__ == "__main__":

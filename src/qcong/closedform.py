@@ -16,7 +16,6 @@ instead of a limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SingularPoint
@@ -113,15 +112,7 @@ def special_q_one(n: int) -> Fraction:
     return Fraction(n * (3 * n * n - 3 * n + 2), 2)
 
 
-@dataclass(frozen=True)
-class ClosedFormValue:
-    """A closed form together with an optional evaluation at one q-point."""
-
-    as_qrat: QRat
-    at_q: tuple[Fraction, Fraction] | None = None
-
-
-def closed_form_at(n: int, q0) -> ClosedFormValue:
+def closed_form_at(n: int, q0) -> Fraction:
     """Closed form of order n evaluated at the rational point q0.
 
     q0 = 1 is a removable singularity of the rational expression; exact
@@ -134,4 +125,4 @@ def closed_form_at(n: int, q0) -> ClosedFormValue:
         raise SingularPoint(
             "q = 1 is a removable singularity; use special_q_one(n) for the value"
         )
-    return ClosedFormValue(as_qrat=form, at_q=(q0, form.evaluate(q0)))
+    return form.evaluate(q0)

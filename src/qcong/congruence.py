@@ -7,17 +7,19 @@ Each check can run through two pipelines, and the verdicts must agree:
 - "folded" (the default) builds every term from its cyclotomic exponents
   over an integer common denominator coprime to [n] and works on the
   numerators folded modulo q^n - 1;
-- "reduced" expands the raw binomial products at full degree, reduces
-  the sum by trial division with cyclotomic polynomials, and divides the
-  reduced numerator by [n].
+- "reduced" expands the raw numerator binomial products at full degree
+  over the binomial common denominator, reduces the sum by trial
+  division with cyclotomic polynomials, and divides the reduced
+  numerator by [n].
 
 The two build the sum from different data: the folded path from the
 term exponents, never expanding a binomial product or dividing by a
-cyclotomic; the reduced path from the expanded binomial products, never
-reading the exponents.  They share only the list-product and division
-kernels and the cyclotomic factorization of a binomial, so an error in
-how either one builds, cancels or combines terms shows as a
-disagreement instead of being repeated by the other.
+cyclotomic; the reduced path from the expanded numerator products and
+the factorization of the binomial common denominator, never reading
+the term exponents.  They share only the list-product and division
+kernels and the cyclotomic factorization (with its sign) of a product
+of binomials, so an error in how either one builds, cancels or combines
+terms shows as a disagreement instead of being repeated by the other.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
 level: writing S(x, p) for the sum over k < p of x^k times the inner

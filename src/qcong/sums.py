@@ -17,12 +17,15 @@ factorization, so each term has one exact representation: a sign, a
 power of q and the exponent e_d of every cyclotomic Phi_d, read off the
 binomial factorizations with no polynomial arithmetic.  The sums are
 assembled two independent ways.  The reduced pipeline expands the
-binomial products at full degree over the binomial common denominator
-and reduces the sum by cyclotomic trial division to a canonical QRat.
-The folded pipeline puts every term over the integer common denominator
-L = prod Phi_d^(max_k -e_d), which carries only even cyclotomic indices
-and so is coprime to [n] for odd n, and builds each numerator from the
-exponents as an integer polynomial folded modulo q^n - 1.
+numerators' binomial products at full degree over the binomial common
+denominator D = sign * prod Phi_d^m_d, cancels Phi_d from the summed
+numerator by trial division, and builds the reduced denominator from
+the multiplicities left, never expanding D; the result is a canonical
+QRat.  The folded pipeline puts every term over the integer common
+denominator L = prod Phi_d^(max_k -e_d), which carries only even
+cyclotomic indices and so is coprime to [n] for odd n, and builds each
+numerator from the exponents as an integer polynomial folded modulo
+q^n - 1.
 """
 
 from __future__ import annotations
@@ -135,20 +138,18 @@ def _term_binomials(family: str, k: int):
     return sign, qpow, num, den
 
 
-def _cyclotomic_multiplicities(binomials) -> Counter:
-    counts: Counter = Counter()
+def _cyclotomic_multiplicities(binomials) -> tuple[int, Counter]:
+    """Factor a product of binomials as sign * prod Phi_d^m_d.
+
+    1 - q^m = -prod_{d|m} Phi_d, so every (1, m) factor flips the sign;
+    1 + q^m is a product of cyclotomics with no sign.
+    """
+    sign, counts = 1, Counter()
     for s, m in binomials:
         counts.update(_binomial_cyclotomic_indices(s, m))
-    return counts
-
-
-def _divide_out(coeffs: list, index: int, times: int) -> list:
-    """Exact division of an integer coefficient list by cyclotomic(index)^times."""
-    phi = list(cyclotomic(index).coeffs)
-    for _ in range(times):
-        coeffs, rem = _int_divmod_unit_lead(coeffs, phi)
-        assert not rem, f"expected exact division by cyclotomic({index})"
-    return coeffs
+        if s == 1:
+            sign = -sign
+    return sign, counts
 
 
 @lru_cache(maxsize=None)
@@ -158,15 +159,13 @@ def _reduced_term(family: str, k: int):
     The term equals sign * q^qpow * prod Phi_d^e_d over the listed d,
     ascending, where e_d = mult_num(d) - mult_den(d) is read off the
     binomial factorizations and zero exponents are dropped.  Negative
-    exponents form the reduced denominator.  1 - q^m = -prod_{d|m} Phi_d,
-    so every (1, m) factor, in the numerator or the denominator, flips
-    the sign; 1 + q^m is a product of cyclotomics with no sign.
+    exponents form the reduced denominator.
     """
     sign, qpow, num_binoms, den_binoms = _term_binomials(family, k)
-    exps = _cyclotomic_multiplicities(num_binoms)
-    exps.subtract(_cyclotomic_multiplicities(den_binoms))
-    flips = sum(1 for s, _ in num_binoms + den_binoms if s == 1)
-    return sign * (-1) ** flips, qpow, tuple(sorted((d, e) for d, e in exps.items() if e))
+    num_sign, exps = _cyclotomic_multiplicities(num_binoms)
+    den_sign, den_exps = _cyclotomic_multiplicities(den_binoms)
+    exps.subtract(den_exps)
+    return sign * num_sign * den_sign, qpow, tuple(sorted((d, e) for d, e in exps.items() if e))
 
 
 def _cyclotomic_product(factors) -> list[int]:
@@ -257,31 +256,28 @@ def _accumulate(acc: list, coeffs, scale: int = 1) -> None:
 def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
     """Reduce an integer numerator against a denominator given in binomial form.
 
-    The denominator's full cyclotomic factorization is known, so the gcd
-    is computed by trial-dividing the numerator by each cyclotomic in
-    the support, up to its multiplicity.  A fold modulo q^d - 1 acts as
-    a cheap divisibility pre-filter since Phi_d divides q^d - 1.
+    The denominator factors as sign * prod Phi_d^m_d with no polynomial
+    arithmetic, so the gcd is found by trial-dividing the numerator by
+    each Phi_d, at most m_d times; a fold modulo q^d - 1 is a cheap
+    divisibility pre-filter since Phi_d divides q^d - 1.  The reduced
+    denominator is the product of the Phi_d^m_d left uncancelled, built
+    directly, and is monic; the sign moves to the numerator.
     """
     if not num:
         return QRat(ZERO)
-    support = _cyclotomic_multiplicities(den_binomials)
-    cancelled: dict[int, int] = {}
-    for d in sorted(support):
+    sign, mults = _cyclotomic_multiplicities(den_binomials)
+    for d in sorted(mults):
         phi = list(cyclotomic(d).coeffs)
-        count = 0
-        while count < support[d]:
+        while mults[d]:
             folded = _fold_list(num, d)
             if folded and _int_divmod_unit_lead(folded, phi)[1]:
                 break
-            quot, rem = _int_divmod_unit_lead(num, phi)
+            num, rem = _int_divmod_unit_lead(num, phi)
             assert not rem, f"fold pre-filter and division disagree at d={d}"
-            num = quot
-            count += 1
-        if count:
-            cancelled[d] = count
-    den = _product_of_binomials(den_binomials)
-    for d, count in cancelled.items():
-        den = _divide_out(den, d, count)
+            mults[d] -= 1
+    if sign < 0:
+        num = [-c for c in num]
+    den = _cyclotomic_product(mults.items())
     return QRat._from_reduced(QPoly._raw(num), QPoly._raw(den))
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from qcong.closedform import (
-    ClosedFormValue,
     closed_form,
     closed_form_at,
     closed_form_numerator,
@@ -117,10 +116,9 @@ def test_closed_form_matches_double_sum_at_rational_points():
 
 
 def test_closed_form_at_returns_consistent_record():
-    v = closed_form_at(3, Fraction(-1, 2))
-    assert isinstance(v, ClosedFormValue)
-    q0, value = v.at_q
-    assert value == v.as_qrat.evaluate(q0) == 3
+    value = closed_form_at(3, Fraction(-1, 2))
+    assert isinstance(value, Fraction)
+    assert value == closed_form(3).evaluate(Fraction(-1, 2)) == 3
 
 
 def test_q_one_is_a_removable_singularity():

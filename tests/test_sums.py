@@ -12,6 +12,7 @@ from qcong.qring import (
     congruent_zero_mod_qint,
     cyclotomic,
     divrem,
+    fold_mod_qn_minus_1,
     q_integer,
     q_pochhammer,
 )
@@ -210,6 +211,20 @@ def test_q_double_sum_matches_naive(term):
         assert q_double_sum(term, n) == naive_double_sum(term, n)
 
 
+@pytest.mark.parametrize("term", [c_q_term, cp_q_term])
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(-1, 3)])
+def test_reduced_sums_match_term_values_beyond_naive_range(term, q0):
+    # the naive QRat sums above are too slow past n = 5 (single) and n = 3 (double)
+    values = [term(k).evaluate(q0) for k in range(11)]
+    for n in range(1, 12, 2):
+        s = q_single_sum(term, n)
+        assert s.den.leading == 1, n
+        assert s.evaluate(q0) == sum(values[:n]), n
+    for n in range(1, 8, 2):
+        pairs = sum(values[i] * values[j] for i in range(n) for j in range(n - i))
+        assert q_double_sum(term, n).evaluate(q0) == pairs, n
+
+
 def test_q_double_sum_trivial_instance():
     assert q_double_sum(c_q_term, 1) == QRat(1)
     assert q_double_sum(cp_q_term, 1) == QRat(1)
@@ -263,6 +278,36 @@ def test_folded_images_negative_control(family, n):
         assert divrem(QPoly(image), phi_n)[1].is_zero
     assert _residue_mod_qint(images[-1:], n).is_zero
     assert _residue_mod_qint(images[:-1], n).is_zero
+
+
+@pytest.mark.parametrize("term", [c_q_term, cp_q_term])
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_reduced_double_sum_negative_control(term, n):
+    # dropping the (0, 0) pair, t(0)^2 = 1, breaks the congruence.  N/D - 1
+    # is (N - D)/D in lowest terms, since gcd(N - D, D) = gcd(N, D) = 1;
+    # building it directly skips QRat's generic gcd, which takes seconds
+    # at n = 9.
+    s = q_double_sum(term, n)
+    broken = QRat._from_reduced(s.num - s.den, s.den)
+    if n == 3:
+        assert broken == s - 1
+    assert not congruent_zero_mod_qint(broken, n).holds
+
+
+@pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_folded_double_sum_pair_sum_and_negative_control(family, term, n):
+    images = [QPoly(image) for image in _folded_terms(family, n)]
+    pairs = QPoly()
+    for i in range(n):
+        for j in range(n - i):
+            pairs = pairs + fold_mod_qn_minus_1(images[i] * images[j], n)
+    residue = divrem(pairs, q_integer(n))[1]
+    assert residue.is_zero
+    assert folded_double_sum_residue(term, n) == residue
+    # dropping the (0, 0) pair breaks the congruence
+    broken = pairs - fold_mod_qn_minus_1(images[0] * images[0], n)
+    assert not divrem(broken, q_integer(n))[1].is_zero
 
 
 @pytest.mark.parametrize("family", ["c", "cp"])
