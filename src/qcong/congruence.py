@@ -8,18 +8,23 @@ Each check can run through two pipelines, and the verdicts must agree:
   over an integer common denominator coprime to [n] and works on the
   numerators folded modulo q^n - 1;
 - "reduced" expands the raw numerator binomial products at full degree
-  over the binomial common denominator, reduces the sum by trial
-  division with cyclotomic polynomials, and divides the reduced
-  numerator by [n].
+  over the binomial common denominator D = sign * prod Phi_d^m_d and
+  decides by valuations: [n] is the squarefree product of Phi_d over
+  d | n, d > 1, so the sum vanishes modulo [n] iff Phi_d divides the
+  summed numerator more than m_d times for every such d.
 
 The two build the sum from different data: the folded path from the
 term exponents, never expanding a binomial product or dividing by a
 cyclotomic; the reduced path from the expanded numerator products and
 the factorization of the binomial common denominator, never reading
-the term exponents.  They share only the list-product and division
-kernels and the cyclotomic factorization (with its sign) of a product
-of binomials, so an error in how either one builds, cancels or combines
-terms shows as a disagreement instead of being repeated by the other.
+the term exponents.  They share the list-product and division kernels,
+the cyclotomic factorization (with its sign) of a product of binomials,
+and the prefix-sum identity that turns a double sum into n products,
+sum over i + j < n of t(i)t(j) = sum over j of t(j) * P(n-1-j); the
+pair-sum oracles in the test suite check that identity on each path
+independently.  An error in how either path builds, cancels or combines
+terms therefore shows as a disagreement instead of being repeated by
+the other.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
 level: writing S(x, p) for the sum over k < p of x^k times the inner
@@ -41,15 +46,14 @@ from fractions import Fraction
 from .bigmath import is_odd_prime, rational_mod
 from .closedform import special_q_neg_half, special_q_one
 from .errors import EvenN, NotOddPrime
-from .qring import ZERO, QPoly, congruent_zero_mod_qint
+from .qring import ZERO, QPoly
 from .sums import (
     c_q_term,
     cp_q_term,
     double_sum,
     folded_double_sum_residue,
     folded_single_sum_residue,
-    q_double_sum,
-    q_single_sum,
+    reduced_sum_residue,
 )
 
 
@@ -129,10 +133,8 @@ def _q_congruence_report(claim_id: str, term, n: int, double: bool, method: str)
         residue = fold(term, n)
         holds = residue.is_zero
     elif method == "reduced":
-        build = q_double_sum if double else q_single_sum
-        verdict = congruent_zero_mod_qint(build(term, n), n)
-        residue = verdict.residue
-        holds = verdict.holds
+        residue = reduced_sum_residue(term, n, double)
+        holds = residue.is_zero
     else:
         raise ValueError(f"method must be 'folded' or 'reduced', got {method!r}")
     return CongruenceReport(

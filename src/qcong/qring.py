@@ -254,7 +254,11 @@ class QPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QPoly) else -_const(other))
+        if isinstance(other, (int, Fraction)):
+            other = _const(other)
+        elif not isinstance(other, QPoly):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return _const(other) + (-self)
@@ -524,11 +528,23 @@ class QRat:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def _plus(self, num: QPoly, den: QPoly) -> "QRat":
+        """self + num/den for reduced num/den with a monic denominator.
+
+        When either denominator is 1 the sum (N*d + n*D)/(D*d) is already
+        in lowest terms, because gcd(N + P*D, D) = gcd(N, D) = 1, so the
+        gcd is skipped.
+        """
+        total = self.num * den + num * self.den
+        if self.den == ONE or den == ONE:
+            return QRat._from_reduced(total, self.den * den)
+        return QRat(total, self.den * den)
+
     def __add__(self, other):
         other = _as_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return QRat(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._plus(other.num, other.den)
 
     __radd__ = __add__
 
@@ -536,7 +552,7 @@ class QRat:
         other = _as_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return QRat(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._plus(-other.num, other.den)
 
     def __rsub__(self, other):
         return _as_qrat(other) - self

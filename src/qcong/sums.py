@@ -18,14 +18,16 @@ power of q and the exponent e_d of every cyclotomic Phi_d, read off the
 binomial factorizations with no polynomial arithmetic.  The sums are
 assembled two independent ways.  The reduced pipeline expands the
 numerators' binomial products at full degree over the binomial common
-denominator D = sign * prod Phi_d^m_d, cancels Phi_d from the summed
-numerator by trial division, and builds the reduced denominator from
-the multiplicities left, never expanding D; the result is a canonical
-QRat.  The folded pipeline puts every term over the integer common
-denominator L = prod Phi_d^(max_k -e_d), which carries only even
-cyclotomic indices and so is coprime to [n] for odd n, and builds each
-numerator from the exponents as an integer polynomial folded modulo
-q^n - 1.
+denominator D = sign * prod Phi_d^m_d and sums them, a double sum as n
+products with prefix sums.  Its congruence verdict divides the summed
+numerator by Phi_d exactly m_d times for each d | n only, since [n] is
+squarefree; q_single_sum and q_double_sum instead cancel every Phi_d
+by trial division and build the reduced denominator from the
+multiplicities left, never expanding D, to give a canonical QRat.  The
+folded pipeline puts every term over the integer common denominator
+L = prod Phi_d^(max_k -e_d), which carries only even cyclotomic indices
+and so is coprime to [n] for odd n, and builds each numerator from the
+exponents as an integer polynomial folded modulo q^n - 1.
 """
 
 from __future__ import annotations
@@ -240,17 +242,31 @@ def _assembled_numerators(family: str, n: int) -> tuple:
     return tuple(ms)
 
 
-def _accumulate(acc: list, coeffs, scale: int = 1) -> None:
+def _accumulate(acc: list, coeffs) -> None:
     if len(coeffs) > len(acc):
         acc.extend([0] * (len(coeffs) - len(acc)))
-    if scale == 1:
-        for e, c in enumerate(coeffs):
-            if c:
-                acc[e] += c
-    else:
-        for e, c in enumerate(coeffs):
-            if c:
-                acc[e] += scale * c
+    for e, c in enumerate(coeffs):
+        if c:
+            acc[e] += c
+
+
+def _pair_sum(items, mul) -> list:
+    """Sum of mul(items[i], items[j]) over i + j < n, n = len(items), untrimmed.
+
+    Taken as the sum over j of mul(items[j], P(n-1-j)), with P(m) the
+    prefix sum items[0] + ... + items[m]: n products instead of the
+    pairs (i, j).
+    """
+    n = len(items)
+    prefixes = []
+    prefix: list = []
+    for item in items:
+        _accumulate(prefix, item)
+        prefixes.append(list(prefix))
+    acc: list = []
+    for j, item in enumerate(items):
+        _accumulate(acc, mul(item, prefixes[n - 1 - j]))
+    return acc
 
 
 def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
@@ -281,33 +297,81 @@ def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
     return QRat._from_reduced(QPoly._raw(num), QPoly._raw(den))
 
 
+def _summed_numerator(family: str, n: int, double: bool) -> tuple[list, list]:
+    """Integer numerator N and binomial denominator D of a single or double sum.
+
+    The single sum of the first n terms is N / D with N the sum of the
+    numerators M_k over D = _common_den_binomials(n).  The double sum
+    over i + j < n of t(i)t(j) is N / D^2 with N the pair sum of the M_k,
+    built by _pair_sum from n products.  N is trimmed and not reduced
+    against D.
+    """
+    ms = _assembled_numerators(family, n)
+    den = _common_den_binomials(n)
+    if double:
+        acc = _pair_sum(ms, _list_mul)
+        den = den * 2
+    else:
+        acc = []
+        for coeffs in ms:
+            _accumulate(acc, coeffs)
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc, den
+
+
 def q_single_sum(term, n: int) -> QRat:
     """Sum over k < n of term(k), as an exact reduced QRat."""
     if n < 1:
         raise ValueError(f"q_single_sum needs n >= 1, got {n}")
-    family = _family_name(term)
-    acc: list = []
-    for coeffs in _assembled_numerators(family, n):
-        _accumulate(acc, coeffs)
-    while acc and not acc[-1]:
-        acc.pop()
-    return _reduce_over_binomials(acc, _common_den_binomials(n))
+    return _reduce_over_binomials(*_summed_numerator(_family_name(term), n, double=False))
 
 
 def q_double_sum(term, n: int) -> QRat:
     """Sum over k < n and j <= k of term(j)*term(k-j), as an exact reduced QRat."""
     if n < 1:
         raise ValueError(f"q_double_sum needs n >= 1, got {n}")
-    family = _family_name(term)
-    ms = [list(c) for c in _assembled_numerators(family, n)]
-    acc: list = []
-    for j in range(n):
-        for i in range(j, n - j):
-            prod = _list_mul(ms[j], ms[i])
-            _accumulate(acc, prod, 1 if i == j else 2)
-    while acc and not acc[-1]:
-        acc.pop()
-    return _reduce_over_binomials(acc, _common_den_binomials(n) * 2)
+    return _reduce_over_binomials(*_summed_numerator(_family_name(term), n, double=True))
+
+
+def _residue_by_valuations(num: list, den_binomials: list, n: int) -> QPoly:
+    """Residue modulo [n] of num / D, decided by the Phi_d-adic valuations at d | n.
+
+    [n] is the squarefree product of Phi_d over d | n, d > 1, and the
+    rest of D = sign * prod Phi_d^m_d is coprime to it, so only those
+    Phi_d matter.  Each is divided out of num exactly m_d times; a
+    division that leaves a remainder means Phi_d survives in the reduced
+    denominator and raises DenominatorNotCoprime.  The residue of
+    sign * num / prod_{d | n} Phi_d^m_d, folded modulo q^n - 1 (which
+    [n] divides), is zero iff v_Phi_d(num) > m_d for every such d, that
+    is iff num / D = 0 (mod [n]); only its vanishing is meaningful.
+    """
+    sign, mults = _cyclotomic_multiplicities(den_binomials)
+    for d in sorted(mults):
+        if d == 1 or n % d:
+            continue
+        phi = list(cyclotomic(d).coeffs)
+        for _ in range(mults[d]):
+            num, rem = _int_divmod_unit_lead(num, phi)
+            if rem:
+                raise DenominatorNotCoprime(
+                    f"Phi_{d} is left in the reduced denominator and divides [{n}]"
+                )
+    if sign < 0:
+        num = [-c for c in num]
+    return divrem(QPoly._raw(_fold_list(num, n)), q_integer(n))[1]
+
+
+def reduced_sum_residue(term, n: int, double: bool) -> QPoly:
+    """Residue modulo [n] of the single or double sum, from its unreduced numerator.
+
+    Zero iff the sum is congruent to 0 modulo [n]; only its vanishing is
+    meaningful.  A reduced denominator sharing a factor with [n] raises
+    DenominatorNotCoprime.
+    """
+    if n < 1:
+        raise ValueError(f"reduced_sum_residue needs n >= 1, got {n}")
+    return _residue_by_valuations(*_summed_numerator(_family_name(term), n, double), n)
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +442,12 @@ def folded_single_sum_residue(term, n: int) -> QPoly:
 def folded_double_sum_residue(term, n: int) -> QPoly:
     """Residue modulo [n] of the double sum, computed in Z[q]/(q^n - 1).
 
-    The sum over i + j < n of t(i)t(j) is taken as the sum over j of
-    t(j) * P(n-1-j), with P(m) the prefix sum of t(0..m): n folded
-    products.  Like the single sum, only its vanishing is meaningful.
+    The sum over i + j < n of t(i)t(j) is built by _pair_sum from n
+    folded products.  Like the single sum, only its vanishing is
+    meaningful.
     """
     if n < 1:
         raise ValueError(f"folded_double_sum_residue needs n >= 1, got {n}")
     images = _folded_terms(_family_name(term), n)
-    prefixes = []
-    prefix: list = []
-    for image in images:
-        _accumulate(prefix, image)
-        prefixes.append(list(prefix))
-    acc: list = []
-    for j, image in enumerate(images):
-        _accumulate(acc, _mul_mod_qn(image, prefixes[n - 1 - j], n))
+    acc = _pair_sum(images, lambda a, b: _mul_mod_qn(a, b, n))
     return divrem(QPoly(acc), q_integer(n))[1]

@@ -1,11 +1,13 @@
 """The eight congruence claims: frozen residues, consistency, and path agreement."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from qcong.bigmath import odd_primes_up_to
+from qcong.bigmath import odd_primes_up_to, rational_mod
 from qcong.congruence import (
+    _prime_power_report,
     check_eq1,
     check_eq2,
     check_eq3,
@@ -51,6 +53,18 @@ def test_mod_p_residues_are_reduced_mod_p2_residues():
     for p in odd_primes_up_to(60):
         assert check_eq5(p).lhs_residue == check_eq7(p).lhs_residue % p
         assert check_eq6(p).lhs_residue == check_eq8(p).lhs_residue % p
+
+
+def test_eq5_to_eq8_negative_controls():
+    for p in odd_primes_up_to(97):
+        # the wrong right-hand sides: -p/2 - p/2 = -p and p - (-p) = 2p are
+        # nonzero mod p^2
+        assert not _prime_power_report("eq7", p, Fraction(-1, 8), Fraction(p, 2), square=True).holds
+        assert not _prime_power_report("eq8", p, Fraction(1, 4), -p, square=True).holds
+        # one term too many: x^p * inner(p) = x * 4 * 1 (mod p), nonzero
+        for x in (Fraction(-1, 8), Fraction(1, 4)):
+            residue = rational_mod(double_sum(p + 1, x), p)
+            assert residue == rational_mod(4 * x, p) != 0, (p, x)
 
 
 def test_non_odd_prime_instances_rejected():
@@ -109,3 +123,14 @@ def test_report_invariant_holds_iff_residues_match():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         check_eq1(3, method="guess")
+
+
+def test_q_congruences_wider_scan():
+    # beyond acceptance criterion 7 (n <= 25), on its own budget
+    start = time.perf_counter()
+    for n in (27, 29, 31):
+        for check in (check_eq1, check_eq2, check_eq3, check_eq4):
+            assert check(n, method="folded").holds, (check.__name__, n, "folded")
+            assert check(n, method="reduced").holds, (check.__name__, n, "reduced")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, f"wider q-congruence scan took {elapsed:.2f}s (budget 60s)"

@@ -341,3 +341,24 @@ def test_qrat_field_arithmetic(a, b, c):
     g = poly_gcd(x.num, x.den) if not x.num.is_zero else ONE
     assert g == ONE  # stored form is reduced
     assert x.den.leading == 1
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_qrat_plus_polynomial_skips_the_gcd(monkeypatch, n):
+    # a reduced N/D plus a polynomial P is (N + P*D)/D, already in lowest
+    # terms since gcd(N + P*D, D) = gcd(N, D) = 1
+    from qcong.sums import c_q_term, cp_q_term, q_double_sum, q_single_sum
+
+    cases = []
+    for s in (q_single_sum(c_q_term, n), q_double_sum(cp_q_term, n)):
+        assert s.den.degree > 0
+        for p in (1, Fraction(1, 2), QPoly([2, -1, 0, 3])):
+            cases.append((s, p, QRat(s.num + p * s.den, s.den), QRat(s.num - p * s.den, s.den)))
+
+    def no_gcd(a, b):
+        raise AssertionError("poly_gcd called with a polynomial operand")
+
+    monkeypatch.setattr("qcong.qring.poly_gcd", no_gcd)
+    for s, p, plus, minus in cases:
+        assert s + p == plus and p + s == plus and s + QRat(p) == plus
+        assert s - p == minus and p - s == -minus and QRat(p) - s == -minus

@@ -9,6 +9,7 @@ from qcong.errors import DenominatorNotCoprime
 from qcong.qring import (
     QPoly,
     QRat,
+    _product_of_binomials,
     congruent_zero_mod_qint,
     cyclotomic,
     divrem,
@@ -17,7 +18,12 @@ from qcong.qring import (
     q_pochhammer,
 )
 from qcong.sums import (
+    _assembled_numerators,
+    _common_den_binomials,
+    _cyclotomic_multiplicities,
     _folded_terms,
+    _residue_by_valuations,
+    _summed_numerator,
     c_q_term,
     cp_q_term,
     double_sum,
@@ -283,15 +289,65 @@ def test_folded_images_negative_control(family, n):
 @pytest.mark.parametrize("term", [c_q_term, cp_q_term])
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_reduced_double_sum_negative_control(term, n):
-    # dropping the (0, 0) pair, t(0)^2 = 1, breaks the congruence.  N/D - 1
-    # is (N - D)/D in lowest terms, since gcd(N - D, D) = gcd(N, D) = 1;
-    # building it directly skips QRat's generic gcd, which takes seconds
-    # at n = 9.
-    s = q_double_sum(term, n)
-    broken = QRat._from_reduced(s.num - s.den, s.den)
-    if n == 3:
-        assert broken == s - 1
-    assert not congruent_zero_mod_qint(broken, n).holds
+    # dropping the (0, 0) pair, t(0)^2 = 1, breaks the congruence
+    assert not congruent_zero_mod_qint(q_double_sum(term, n) - 1, n).holds
+
+
+@pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
+@pytest.mark.parametrize("double", [False, True])
+def test_valuation_verdict_agrees_with_reduced_sums(family, term, double):
+    build = q_double_sum if double else q_single_sum
+    for n in range(3, 12, 2):
+        s = build(term, n)
+        num, den = _summed_numerator(family, n, double)
+        assert _residue_by_valuations(num, den, n).is_zero == congruent_zero_mod_qint(s, n).holds
+        # S + [n]/Phi_d vanishes modulo every Phi_e with e | n except Phi_d;
+        # at n = 9, d = 3 the numerator then has exactly the Phi_3-adic
+        # valuation of D, so the verdict must divide Phi_3 out exactly
+        # m_3 times to see the failure
+        expanded_den = QPoly(_product_of_binomials(den))
+        for d in range(2, n + 1):
+            if n % d:
+                continue
+            p = divrem(q_integer(n), cyclotomic(d))[0]
+            perturbed = list((QPoly(num) + p * expanded_den).coeffs)
+            assert not _residue_by_valuations(perturbed, den, n).is_zero, (n, d)
+            assert not congruent_zero_mod_qint(s + p, n).holds, (n, d)
+
+
+@pytest.mark.parametrize("family", ["c", "cp"])
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_valuation_verdict_negative_control(family, n):
+    ms = [QPoly(m) for m in _assembled_numerators(family, n)]
+    num, den = _summed_numerator(family, n, double=False)
+    assert _residue_by_valuations(num, den, n).is_zero
+    # dropping the k = 0 numerator breaks the single sum's congruence
+    dropped = list((QPoly(num) - ms[0]).coeffs)
+    assert not _residue_by_valuations(dropped, den, n).is_zero
+    # and dropping its (0, 0) pair breaks the double sum's
+    num, den = _summed_numerator(family, n, double=True)
+    assert _residue_by_valuations(num, den, n).is_zero
+    dropped = list((QPoly(num) - ms[0] * ms[0]).coeffs)
+    assert not _residue_by_valuations(dropped, den, n).is_zero
+
+
+def test_valuation_verdict_refuses_shared_denominator_factor():
+    # over the n = 9 common denominator Phi_3 has multiplicity 2 and Phi_9 none
+    den = _common_den_binomials(9)
+    mults = _cyclotomic_multiplicities(den)[1]
+    assert (mults[3], mults[9]) == (2, 0)
+    phi3, phi9, unit = cyclotomic(3), cyclotomic(9), QPoly([1, 2])
+
+    def residue(num):
+        return _residue_by_valuations(list(num.coeffs), den, 9)
+
+    for v in (0, 1):
+        with pytest.raises(DenominatorNotCoprime):
+            residue(phi3**v * unit)
+    assert not residue(phi3**2 * unit).is_zero
+    assert not residue(phi3**3 * unit).is_zero
+    assert not residue(phi3**2 * phi9 * unit).is_zero
+    assert residue(phi3**3 * phi9 * unit).is_zero
 
 
 @pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
