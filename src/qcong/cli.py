@@ -4,14 +4,17 @@
     qcong verify congruence --id eq7  --limit 499 [--format csv]  [--out F] [--jobs N]
     qcong eval --n 3 --q -1/2
 
-Exit codes: 0 when every checked instance holds, 1 when any fails,
-2 on usage errors.  Reports are emitted sorted by claim then instance,
-one record per instance; json output is newline-delimited.
+Records stream as each instance completes, in claim then instance
+order whatever the --id order or --jobs; a repeated --id runs once.
+One record per instance; json output is newline-delimited.  Exit codes:
+0 when every checked instance holds, 1 when any fails, 2 on usage
+errors, 3 on an internal inconsistency (records already written stay).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -31,6 +34,8 @@ CONGRUENCE_IDS = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "eq8")
 # claims whose instances start at 0 (indexed by k rather than n)
 _ZERO_BASED = {"eq12", "eq15", "eq19"}
 
+FIELDS = ("claim", "instance", "holds", "lhs", "rhs", "modulus", "elapsed_ms")
+
 
 def _fmt(value) -> str:
     """Stable string form: rationals as num/den in lowest terms, polys ascending."""
@@ -42,15 +47,7 @@ def _fmt(value) -> str:
 
 
 def _record(claim: str, instance: int, holds: bool, lhs, rhs, modulus: str, ms: int) -> dict:
-    return {
-        "claim": claim,
-        "instance": instance,
-        "holds": holds,
-        "lhs": _fmt(lhs),
-        "rhs": _fmt(rhs),
-        "modulus": modulus,
-        "elapsed_ms": ms,
-    }
+    return dict(zip(FIELDS, (claim, instance, holds, _fmt(lhs), _fmt(rhs), modulus, ms)))
 
 
 def _identity_instance(args: tuple[str, int]) -> dict:
@@ -117,54 +114,52 @@ def _congruence_instances(ids, limit: int):
                 yield claim, p
 
 
-def _run(worker, instances: list, jobs: int) -> list[dict]:
+def _run(worker, instances: list, jobs: int):
+    """Records in instance order, each yielded as soon as it is ready."""
     if jobs <= 1 or len(instances) <= 1:
-        records = [worker(inst) for inst in instances]
+        yield from map(worker, instances)
     else:
         chunk = max(1, len(instances) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(worker, instances, chunksize=chunk))
-    records.sort(key=lambda r: (int(r["claim"][2:]), r["instance"]))
-    return records
+            yield from pool.map(worker, instances, chunksize=chunk)
 
 
-def _render(records: list[dict], fmt: str) -> str:
+def _csv_row(values) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerow(values)
+    return buf.getvalue()
+
+
+def _render(r: dict, fmt: str) -> str:
     if fmt == "json":
-        return "".join(json.dumps(r) + "\n" for r in records)
+        return json.dumps(r) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["claim", "instance", "holds", "lhs", "rhs", "modulus", "elapsed_ms"])
-        for r in records:
-            writer.writerow([r["claim"], r["instance"], r["holds"], r["lhs"], r["rhs"], r["modulus"], r["elapsed_ms"]])
-        return buf.getvalue()
-    lines = []
-    for r in records:
-        status = "ok " if r["holds"] else "FAIL"
-        lines.append(
-            f"{r['claim']} instance={r['instance']} {status} "
-            f"lhs={r['lhs']} rhs={r['rhs']} modulus={r['modulus']} ({r['elapsed_ms']} ms)"
-        )
-    failing = sum(1 for r in records if not r["holds"])
-    if failing:
-        lines.append(f"{len(records)} instances checked: {failing} FAILED")
-    else:
-        lines.append(f"{len(records)} instances checked: all hold")
-    return "".join(line + "\n" for line in lines)
-
-
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return _csv_row([r[field] for field in FIELDS])
+    status = "ok " if r["holds"] else "FAIL"
+    return (
+        f"{r['claim']} instance={r['instance']} {status} "
+        f"lhs={r['lhs']} rhs={r['rhs']} modulus={r['modulus']} ({r['elapsed_ms']} ms)\n"
+    )
 
 
 def _cmd_verify(worker, instances, jobs: int, fmt: str, out: str | None) -> int:
-    records = _run(worker, list(instances), jobs)
-    _emit(_render(records, fmt), out)
-    return 0 if all(r["holds"] for r in records) else 1
+    checked = failing = 0
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "csv":
+            fh.write(_csv_row(FIELDS))
+        try:
+            for record in _run(worker, list(instances), jobs):
+                fh.write(_render(record, fmt))
+                fh.flush()
+                checked += 1
+                failing += not record["holds"]
+        except ArithmeticError as exc:
+            print(f"qcong: internal inconsistency: {exc}", file=sys.stderr)
+            return 3
+        if fmt == "text":
+            verdict = f"{failing} FAILED" if failing else "all hold"
+            fh.write(f"{checked} instances checked: {verdict}\n")
+    return 1 if failing else 0
 
 
 def _cmd_eval(n: int, q0: Fraction) -> int:
@@ -216,6 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _canonical(ids) -> list[str]:
+    """Distinct claim ids by claim number: run order is report order."""
+    return sorted(set(ids), key=lambda claim: int(claim[2:]))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -230,14 +230,12 @@ def main(argv=None) -> int:
     if args.target == "identity":
         if args.max_n < 1:
             parser.error(f"--max-n must be >= 1, got {args.max_n}")
-        ids = args.ids or list(IDENTITY_IDS)
-        instances = _identity_instances(ids, args.max_n)
+        instances = _identity_instances(_canonical(args.ids or IDENTITY_IDS), args.max_n)
         return _cmd_verify(_identity_instance, instances, args.jobs, args.format, args.out)
 
     if args.limit < 3:
         parser.error(f"--limit must be >= 3, got {args.limit}")
-    ids = args.ids or list(CONGRUENCE_IDS)
-    instances = _congruence_instances(ids, args.limit)
+    instances = _congruence_instances(_canonical(args.ids or CONGRUENCE_IDS), args.limit)
     return _cmd_verify(_congruence_instance, instances, args.jobs, args.format, args.out)
 
 

@@ -33,7 +33,7 @@ def geometric_S(n: int) -> QRat:
     """
     if n < 1:
         raise ValueError(f"geometric_S needs n >= 1, got {n}")
-    lead = QRat(_Q * (1 - QPoly.q_power(n - 1) if n > 1 else QPoly()), _ONE_MINUS_Q**2)
+    lead = QRat(_Q * (1 - QPoly.q_power(n - 1)), _ONE_MINUS_Q**2)
     tail = QRat(QPoly.q_power(n) * (n - 1), _ONE_MINUS_Q)
     return lead - tail
 
@@ -42,7 +42,7 @@ def geometric_T(n: int) -> QRat:
     """Sum over k < n of k^2 q^k, via the closed rational form."""
     if n < 1:
         raise ValueError(f"geometric_T needs n >= 1, got {n}")
-    one_minus_qn1 = 1 - QPoly.q_power(n - 1) if n > 1 else QPoly()
+    one_minus_qn1 = 1 - QPoly.q_power(n - 1)
     qn = QPoly.q_power(n)
     return (
         QRat(2 * _Q * one_minus_qn1, _ONE_MINUS_Q**3)

@@ -46,7 +46,7 @@ from fractions import Fraction
 from .bigmath import is_odd_prime, rational_mod
 from .closedform import special_q_neg_half, special_q_one
 from .errors import EvenN, NotOddPrime
-from .qring import ZERO, QPoly
+from .qring import ZERO
 from .sums import (
     c_q_term,
     cp_q_term,
@@ -124,23 +124,17 @@ def _q_congruence_report(claim_id: str, term, n: int, double: bool, method: str)
     if n % 2 == 0:
         raise EvenN(f"{claim_id} is only asserted for odd n, got {n}")
     t0 = time.perf_counter()
-    if n == 1:
-        # [1] = 1 divides everything; defined to hold so scans stay total
-        residue: QPoly = ZERO
-        holds = True
-    elif method == "folded":
+    if method == "folded":
         fold = folded_double_sum_residue if double else folded_single_sum_residue
         residue = fold(term, n)
-        holds = residue.is_zero
     elif method == "reduced":
         residue = reduced_sum_residue(term, n, double)
-        holds = residue.is_zero
     else:
         raise ValueError(f"method must be 'folded' or 'reduced', got {method!r}")
     return CongruenceReport(
         claim_id=claim_id,
         instance=n,
-        holds=holds,
+        holds=residue.is_zero,
         lhs_residue=residue,
         rhs_residue=ZERO,
         modulus_description=f"[{n}]",

@@ -23,8 +23,6 @@ from functools import lru_cache
 
 from .errors import BothZero, DenominatorNotCoprime, DivisionByZeroPoly
 
-Coeff = int | Fraction
-
 
 def _norm(c):
     """Collapse integral Fractions to int so integer inputs stay on the fast path."""

@@ -383,7 +383,7 @@ def _mul_mod_qn(a: list, b: list, n: int) -> list:
     return _fold_list(_list_mul(a, b), n)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _folded_terms(family: str, n: int) -> tuple:
     """Integer images mod q^n - 1 of the first n terms over one common denominator.
 

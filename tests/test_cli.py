@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from qcong import cli
 from qcong.cli import IDENTITY_IDS, main
 
 
@@ -152,3 +153,80 @@ def test_failing_instance_exits_1_and_prints_residue(capsys, monkeypatch):
     assert code == 1
     assert "eq5 instance=7 FAIL lhs=4 rhs=0" in out
     assert "1 FAILED" in out
+
+
+def test_records_stream_in_claim_order_as_they_complete(tmp_path, monkeypatch):
+    path = tmp_path / "report.jsonl"
+    real = cli._identity_instance
+    written_before = []
+
+    def spy(args):
+        written_before.append(len(path.read_text().splitlines()))
+        return real(args)
+
+    monkeypatch.setattr(cli, "_identity_instance", spy)
+    code = main(["verify", "identity", "--id", "eq15", "--id", "eq12", "--max-n", "3",
+                 "--format", "json", "--out", str(path)])
+    assert code == 0
+    assert written_before == list(range(8))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["claim"], r["instance"]) for r in records] == [
+        (claim, k) for claim in ("eq12", "eq15") for k in range(4)
+    ]
+
+
+def test_repeated_ids_run_once_in_claim_order(capsys):
+    code, out = run_cli(capsys, "verify", "congruence", "--id", "eq1", "--id", "eq1",
+                        "--limit", "5")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [l.split()[:2] for l in lines[:-1]] == [
+        ["eq1", "instance=1"], ["eq1", "instance=3"], ["eq1", "instance=5"],
+    ]
+    assert lines[-1] == "3 instances checked: all hold"
+
+    code, out = run_cli(capsys, "verify", "congruence", "--id", "eq8", "--id", "eq7",
+                        "--id", "eq8", "--limit", "7", "--format", "json")
+    assert code == 0
+    claims = [(r["claim"], r["instance"]) for r in map(json.loads, out.splitlines())]
+    assert claims == [("eq7", 3), ("eq7", 5), ("eq7", 7), ("eq8", 3), ("eq8", 5), ("eq8", 7)]
+
+
+def test_internal_inconsistency_exits_3(capsys, monkeypatch):
+    from qcong import congruence
+
+    real = congruence.special_q_one
+    monkeypatch.setattr(congruence, "special_q_one", lambda n: real(n) + 1)
+    code = main(["verify", "congruence", "--id", "eq6", "--limit", "11"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("qcong: internal inconsistency: double_sum(3, 1/4) disagrees")
+    assert captured.out == ""
+
+
+# claim -> (module, attribute) of the source of its left-hand side
+_IDENTITY_LHS = {
+    "eq9": ("closedform", "closed_form"),
+    "eq10": ("sums", "double_sum"),
+    "eq11": ("sums", "double_sum"),
+    "eq12": ("sums", "inner_conv_sum"),
+    "eq15": ("sums", "plain_conv_sum"),
+    "eq19": ("sums", "weighted_conv_sum"),
+    "eq21": ("closedform", "geometric_S"),
+    "eq23": ("closedform", "geometric_T"),
+}
+
+
+@pytest.mark.parametrize("claim", IDENTITY_IDS)
+def test_identity_negative_controls(capsys, monkeypatch, claim):
+    module_name, attr = _IDENTITY_LHS[claim]
+    module = getattr(cli, module_name)
+    real = getattr(module, attr)
+    # shift the left-hand side one instance ahead: f(n) -> f(n + 1)
+    monkeypatch.setattr(module, attr, lambda n, *rest: real(n + 1, *rest))
+    code, out = run_cli(capsys, "verify", "identity", "--id", claim, "--max-n", "6",
+                        "--format", "json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["instance"] for r in records if r["holds"]] == ([0] if claim == "eq19" else [])
+    assert [r["instance"] for r in records if r["instance"] >= 1] == list(range(1, 7))

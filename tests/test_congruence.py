@@ -84,9 +84,10 @@ def test_sum_denominators_are_powers_of_two():
 
 def test_q_claims_hold_vacuously_at_n_1():
     for check in (check_eq1, check_eq2, check_eq3, check_eq4):
-        r = check(1)
-        assert r.holds and r.lhs_residue.is_zero
-        assert r.modulus_description == "[1]"
+        for method in ("folded", "reduced"):
+            r = check(1, method=method)
+            assert r.holds and r.lhs_residue.is_zero
+            assert r.modulus_description == "[1]"
 
 
 def test_q_claims_small_odd_instances():

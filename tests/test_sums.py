@@ -373,3 +373,13 @@ def test_folded_terms_are_integer_and_refuse_shared_denominator_factors(family):
     # the k=1 denominator carries Phi_4, which divides q^4 - 1
     with pytest.raises(DenominatorNotCoprime):
         _folded_terms(family, 4)
+
+
+def test_folded_terms_cache_holds_a_default_scan():
+    # a default-id congruence scan to --limit 33 touches 34 (family, n) keys
+    for n in range(1, 34, 2):
+        for family in ("c", "cp"):
+            _folded_terms(family, n)
+    hits = _folded_terms.cache_info().hits
+    _folded_terms("c", 1)
+    assert _folded_terms.cache_info().hits == hits + 1
