@@ -153,7 +153,9 @@ def _cmd_verify(worker, instances, jobs: int, fmt: str, out: str | None) -> int:
                 fh.flush()
                 checked += 1
                 failing += not record["holds"]
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:
+            # every generated instance is in-domain, so any qcong error here
+            # (all are ValueError or ZeroDivisionError) is a pipeline fault
             print(f"qcong: internal inconsistency: {exc}", file=sys.stderr)
             return 3
         if fmt == "text":

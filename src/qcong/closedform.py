@@ -12,6 +12,11 @@ T_n = sum k^2 q^k that drive its proof, and the two specializations
 q = -1/2 and q = 1.  The q = 1 point is a removable singularity of the
 rational closed form and is served by the exact specialized value
 instead of a limit.
+
+Each closed form is built as one integer numerator over its known
+denominator, a power of (q-1) up to sign, and reduced by one exact
+division through the integer unit-lead kernel; only a numerator that
+the power does not divide goes through the generic gcd reduction.
 """
 
 from __future__ import annotations
@@ -19,37 +24,52 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SingularPoint
-from .qring import QPoly, QRat
+from .qring import QPoly, QRat, divrem
 
 _Q = QPoly([0, 1])
 _ONE_MINUS_Q = QPoly([1, -1])
 
 
+def _exact_over(num: QPoly, den: QPoly) -> QRat:
+    """num/den as a canonical QRat, den a power of (1 - q) up to sign.
+
+    When den divides num the quotient is the reduced form and the gcd
+    is skipped; otherwise the generic reduction keeps the value exact.
+    """
+    quot, rem = divrem(num, den)
+    if rem.is_zero:
+        return QRat(quot)
+    return QRat(num, den)
+
+
 def geometric_S(n: int) -> QRat:
     """Sum over k < n of k q^k, via the closed rational form.
 
-    Built as q(1-q^(n-1))/(1-q)^2 - q^n (n-1)/(1-q); the QRat reduction
-    collapses it to the underlying polynomial.
+    q(1-q^(n-1))/(1-q)^2 - (n-1) q^n/(1-q), put over (1-q)^2 and
+    divided out exactly.
     """
     if n < 1:
         raise ValueError(f"geometric_S needs n >= 1, got {n}")
-    lead = QRat(_Q * (1 - QPoly.q_power(n - 1)), _ONE_MINUS_Q**2)
-    tail = QRat(QPoly.q_power(n) * (n - 1), _ONE_MINUS_Q)
-    return lead - tail
+    num = _Q * (1 - QPoly.q_power(n - 1)) - QPoly.q_power(n) * (n - 1) * _ONE_MINUS_Q
+    return _exact_over(num, _ONE_MINUS_Q**2)
 
 
 def geometric_T(n: int) -> QRat:
-    """Sum over k < n of k^2 q^k, via the closed rational form."""
+    """Sum over k < n of k^2 q^k, via the closed rational form.
+
+    2q(1-q^(n-1))/(1-q)^3 - 2(n-1) q^n/(1-q)^2 - q(1-q^(n-1))/(1-q)^2
+    - (n-1)^2 q^n/(1-q), put over (1-q)^3 and divided out exactly.
+    """
     if n < 1:
         raise ValueError(f"geometric_T needs n >= 1, got {n}")
-    one_minus_qn1 = 1 - QPoly.q_power(n - 1)
+    lead = _Q * (1 - QPoly.q_power(n - 1))
     qn = QPoly.q_power(n)
-    return (
-        QRat(2 * _Q * one_minus_qn1, _ONE_MINUS_Q**3)
-        - QRat(2 * qn * (n - 1), _ONE_MINUS_Q**2)
-        - QRat(_Q * one_minus_qn1, _ONE_MINUS_Q**2)
-        - QRat(qn * (n - 1) ** 2, _ONE_MINUS_Q)
+    num = (
+        2 * lead
+        - (2 * qn * (n - 1) + lead) * _ONE_MINUS_Q
+        - qn * (n - 1) ** 2 * _ONE_MINUS_Q**2
     )
+    return _exact_over(num, _ONE_MINUS_Q**3)
 
 
 def geometric_S_direct(n: int) -> QPoly:
@@ -91,11 +111,15 @@ def closed_form(n: int) -> QRat:
     The denominator is 2(q-1)^3, not 2(1-q)^3: the direct sum equals 1
     at n=1 while the (1-q)^3 reading gives -1, and only the (q-1)^3
     reading reproduces the q = -1/2 and q = 1 specializations.  A
-    regression test pins the other reading to -1 times this one.
+    regression test pins the other reading to -1 times this one.  The
+    numerator is halved first, so the division by (q-1)^3 stays on
+    integer coefficients: each of its coefficients is even.
     """
     if n < 1:
         raise ValueError(f"closed_form needs n >= 1, got {n}")
-    return QRat(closed_form_numerator(n), 2 * QPoly([-1, 1]) ** 3)
+    # the numerator is sparse: only its nonzero coefficients are halved
+    half = QPoly(Fraction(c, 2) if c else 0 for c in closed_form_numerator(n))
+    return _exact_over(half, QPoly([-1, 1]) ** 3)
 
 
 def special_q_neg_half(n: int) -> Fraction:

@@ -99,16 +99,21 @@ def weighted_conv_sum(k: int) -> int:
 
 
 def double_sum(n: int, x) -> Fraction:
-    """Sum over k < n of x^k * inner_conv_sum(k), exact."""
+    """Sum over k < n of x^k * inner_conv_sum(k), exact.
+
+    With x = a/b the sum is (sum_k inner_conv_sum(k) a^k b^(n-1-k)) /
+    b^(n-1); the numerator is accumulated by Horner's rule in integers,
+    so the only gcd is the one that reduces the final Fraction.
+    """
     if n < 1:
         raise ValueError(f"double_sum needs n >= 1, got {n}")
     x = Fraction(x)
-    acc = Fraction(0)
-    xk = Fraction(1)
+    a, b = x.numerator, x.denominator
+    acc, ak = 0, 1
     for k in range(n):
-        acc += xk * inner_conv_sum(k)
-        xk *= x
-    return acc
+        acc = acc * b + inner_conv_sum(k) * ak
+        ak *= a
+    return Fraction(acc, b ** (n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,29 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_pipeline_value_error_exits_3_without_traceback(capsys, monkeypatch):
+    from qcong import congruence
+    from qcong.errors import DenominatorNotCoprime
+
+    real = congruence.folded_single_sum_residue
+
+    def broken(term, n):
+        if n >= 3:
+            raise DenominatorNotCoprime(f"Phi_3 is left in the reduced denominator of n={n}")
+        return real(term, n)
+
+    monkeypatch.setattr(congruence, "folded_single_sum_residue", broken)
+    code = main(["verify", "congruence", "--id", "eq1", "--limit", "5", "--format", "json"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "qcong: internal inconsistency: Phi_3 is left in the reduced denominator of n=3\n"
+    )
+    assert "Traceback" not in captured.err
+    # the record written before the fault stays
+    assert [json.loads(line)["instance"] for line in captured.out.splitlines()] == [1]
+
+
 # claim -> (module, attribute) of the source of its left-hand side
 _IDENTITY_LHS = {
     "eq9": ("closedform", "closed_form"),

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from qcong import closedform
 from qcong.closedform import (
+    _exact_over,
     closed_form,
     closed_form_at,
     closed_form_numerator,
@@ -46,6 +48,41 @@ def test_geometric_S_telescoping_identity():
         lhs = one_minus_q * geometric_S(n)
         rhs = QRat(QPoly([0] + [1] * (n - 1)) - QPoly.q_power(n) * (n - 1))
         assert lhs == rhs
+
+
+def test_closed_forms_divide_exactly_without_a_gcd(monkeypatch):
+    # each numerator is divisible by its power of (q-1), so no gcd is run
+    def no_gcd(a, b):
+        raise AssertionError("poly_gcd called on an exactly divisible closed form")
+
+    monkeypatch.setattr("qcong.qring.poly_gcd", no_gcd)
+    for n in range(1, 61):
+        assert closed_form(n) == QRat(reduced_double_sum_poly(n)), n
+        assert geometric_S(n) == QRat(geometric_S_direct(n)), n
+        assert geometric_T(n) == QRat(geometric_T_direct(n)), n
+
+
+def test_exact_over_falls_back_to_the_canonical_qrat():
+    # a numerator the denominator does not divide still reduces exactly
+    cases = [
+        (closed_form_numerator(n) * Fraction(1, 2), QPoly([-1, 1]) ** 3) for n in (1, 4, 9)
+    ] + [(QPoly(range(n)) * QPoly([1, -1]) ** 2, QPoly([1, -1]) ** 2) for n in (2, 5)]
+    for num, den in cases:
+        assert _exact_over(num, den) == QRat(num, den)
+        bumped = num + 1
+        value = _exact_over(bumped, den)
+        assert value.den.degree > 0
+        assert value == QRat(bumped, den)
+
+
+def test_closed_form_fallback_keeps_the_value_exact(monkeypatch):
+    # a numerator off by one is not divisible: the result is N'/(2(q-1)^3), reduced
+    real = closedform.closed_form_numerator
+    monkeypatch.setattr(closedform, "closed_form_numerator", lambda n: real(n) + 1)
+    for n in (1, 2, 7):
+        value = closed_form(n)
+        assert value == QRat(real(n) + 1, 2 * QPoly([-1, 1]) ** 3)
+        assert value != QRat(reduced_double_sum_poly(n))
 
 
 def test_reduced_double_sum_poly_examples():

@@ -155,6 +155,21 @@ def test_double_sum_rejects_n_below_1():
         double_sum(0, Fraction(1, 4))
 
 
+@pytest.mark.parametrize(
+    "x", [0, 3, -2, Fraction(1, 4), Fraction(-1, 8), Fraction(3, 7), Fraction(-5, 2), Fraction(99, 7)]
+)
+def test_double_sum_equals_naive_fraction_accumulation(x):
+    # integer and zero weights, and numerators other than +-1
+    for n in range(1, 41):
+        naive, xk = Fraction(0), Fraction(1)
+        for k in range(n):
+            naive += xk * direct_inner(k)
+            xk *= x
+        value = double_sum(n, x)
+        assert type(value) is Fraction
+        assert value == naive, (n, x)
+
+
 # --- q-series terms ----------------------------------------------------------------
 
 
