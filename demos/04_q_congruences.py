@@ -16,11 +16,14 @@ Each instance is checked through two independent pipelines:
    product of even-index cyclotomics and so coprime to [n] for odd n,
    and the integer numerators are multiplied in Z[q]/(q^n - 1), valid
    because [n] | q^n - 1;
- - reduced: the exact summed numerator is assembled at full degree over
-   the binomial common denominator D = sign * prod Phi_d^m_d, and the
-   verdict reads its Phi_d-adic valuations at the d | n: [n] is the
-   squarefree product of those Phi_d, so the sum vanishes mod [n] iff
-   Phi_d divides the numerator more than m_d times for each of them.
+ - reduced: the sum is taken over the binomial common denominator
+   D = sign * prod Phi_d^m_d, and the verdict reads the numerator's
+   Phi_d-adic valuations at the d | n: [n] is the squarefree product of
+   those Phi_d, so the sum vanishes mod [n] iff Phi_d divides the
+   numerator more than m_d times for each of them.  No numerator is
+   expanded at full degree: each is built from its binomials as a
+   series at q = zeta_d (1 + t), truncated just past t^m_d, whose
+   t-adic valuation is the Phi_d-adic one.
 """
 
 from qcong import (

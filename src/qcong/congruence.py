@@ -7,19 +7,22 @@ Each check can run through two pipelines, and the verdicts must agree:
 - "folded" (the default) builds every term from its cyclotomic exponents
   over an integer common denominator coprime to [n] and works on the
   numerators folded modulo q^n - 1;
-- "reduced" expands the raw numerator binomial products at full degree
-  over the binomial common denominator D = sign * prod Phi_d^m_d and
-  decides by valuations: [n] is the squarefree product of Phi_d over
-  d | n, d > 1, so the sum vanishes modulo [n] iff Phi_d divides the
-  summed numerator more than m_d times for every such d.
+- "reduced" works over the binomial common denominator
+  D = sign * prod Phi_d^m_d and decides by valuations: [n] is the
+  squarefree product of Phi_d over d | n, d > 1, so the sum vanishes
+  modulo [n] iff Phi_d divides the summed numerator more than m_d times
+  for every such d.  It reads that valuation off the numerator expanded
+  at q = zeta_d (1 + t), truncated just past t^m_d, and never expands a
+  numerator at full degree.
 
 The two build the sum from different data: the folded path from the
 term exponents, never expanding a binomial product or dividing by a
-cyclotomic; the reduced path from the expanded numerator products and
-the factorization of the binomial common denominator, never reading
-the term exponents.  They share the list-product and division kernels,
-the cyclotomic factorization (with its sign) of a product of binomials,
-and the prefix-sum identity that turns a double sum into n products,
+cyclotomic; the reduced path from the term binomials, each expanded
+only locally at the roots of unity of [n], and the factorization of the
+binomial common denominator, never reading the term exponents or
+folding modulo q^n - 1.  They share the division kernel, the
+cyclotomic factorization (with its sign) of a product of binomials, and
+the prefix-sum identity that turns a double sum into n products,
 sum over i + j < n of t(i)t(j) = sum over j of t(j) * P(n-1-j); the
 pair-sum oracles in the test suite check that identity on each path
 independently.  An error in how either path builds, cancels or combines

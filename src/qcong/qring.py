@@ -268,7 +268,7 @@ class QPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ZERO
-            return QPoly._raw([_norm(c * other) for c in self.coeffs])
+            return QPoly._raw([_norm(c * other) if c else 0 for c in self.coeffs])
         if not isinstance(other, QPoly):
             return NotImplemented
         return QPoly._raw([_norm(c) for c in _list_mul(list(self.coeffs), list(other.coeffs))])

@@ -16,18 +16,23 @@ Every factor above is a binomial (1 - s*q^m) with a known cyclotomic
 factorization, so each term has one exact representation: a sign, a
 power of q and the exponent e_d of every cyclotomic Phi_d, read off the
 binomial factorizations with no polynomial arithmetic.  The sums are
-assembled two independent ways.  The reduced pipeline expands the
-numerators' binomial products at full degree over the binomial common
-denominator D = sign * prod Phi_d^m_d and sums them, a double sum as n
-products with prefix sums.  Its congruence verdict divides the summed
-numerator by Phi_d exactly m_d times for each d | n only, since [n] is
-squarefree; q_single_sum and q_double_sum instead cancel every Phi_d
-by trial division and build the reduced denominator from the
-multiplicities left, never expanding D, to give a canonical QRat.  The
-folded pipeline puts every term over the integer common denominator
-L = prod Phi_d^(max_k -e_d), which carries only even cyclotomic indices
-and so is coprime to [n] for odd n, and builds each numerator from the
-exponents as an integer polynomial folded modulo q^n - 1.
+assembled two independent ways.  The reduced pipeline works over the
+binomial common denominator D = sign * prod Phi_d^m_d.  Its congruence
+verdict never expands a numerator: [n] is squarefree, so the sum
+vanishes modulo [n] iff Phi_d divides the summed numerator N more than
+m_d times for every d | n, d > 1, and that valuation is the t-adic
+valuation of N at q = zeta_d (1 + t).  Each numerator is built from its
+binomials directly as such a local series, truncated just past m_d (2 m_d
+for a double sum), with prefix products of the nested binomials, and a
+double sum is n series products with prefix sums.  q_single_sum and
+q_double_sum, the canonical oracle, instead expand the numerators at
+full degree and cancel every Phi_d by trial division, building the
+reduced denominator from the multiplicities left, never expanding D, to
+give a canonical QRat.  The folded pipeline puts every term over the
+integer common denominator L = prod Phi_d^(max_k -e_d), which carries
+only even cyclotomic indices and so is coprime to [n] for odd n, and
+builds each numerator from the exponents as an integer polynomial
+folded modulo q^n - 1.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .bigmath import central_binomial
 from .errors import DenominatorNotCoprime
@@ -43,6 +49,7 @@ from .qring import (
     QRat,
     ZERO,
     _binomial_cyclotomic_indices,
+    _divisors,
     _fold_list,
     _int_divmod_unit_lead,
     _list_mul,
@@ -339,44 +346,167 @@ def q_double_sum(term, n: int) -> QRat:
     return _reduce_over_binomials(*_summed_numerator(_family_name(term), n, double=True))
 
 
-def _residue_by_valuations(num: list, den_binomials: list, n: int) -> QPoly:
-    """Residue modulo [n] of num / D, decided by the Phi_d-adic valuations at d | n.
+# ---------------------------------------------------------------------------
+# reduced verdict by local expansion at the roots of unity of [n]
+# ---------------------------------------------------------------------------
+
+# A local series stands for a polynomial N expanded at q = x(1 + t) and
+# truncated at t^r, with coefficients in Z[x]/(x^d - 1): a flat list whose
+# entry j*d + a is the coefficient of t^j x^a.  Reducing each t-coefficient
+# modulo Phi_d gives the expansion of N at zeta_d(1 + t), zeta_d a
+# primitive d-th root of unity, whose t-adic valuation is v_Phi_d(N)
+# because Phi_d has simple roots.
+
+
+def _series_mul(a: list, b: list, d: int, r: int) -> list:
+    """Product of two local series, truncated at t^r."""
+    out = [0] * (r * d)
+    for i in range(r):
+        row = [(u, c) for u, c in enumerate(a[i * d : (i + 1) * d]) if c]
+        if not row:
+            continue
+        for j in range(r - i):
+            base = (i + j) * d
+            for v, cv in enumerate(b[j * d : (j + 1) * d]):
+                if cv:
+                    for u, cu in row:
+                        out[base + (u + v) % d] += cu * cv
+    return out
+
+
+def _series_qpow(a: list, e: int, d: int, r: int) -> list:
+    """A local series times q^e: x^(e mod d) rotates, (1 + t)^e convolves in t."""
+    out = [0] * (r * d)
+    rot = e % d
+    binoms = [comb(e, j) for j in range(r)]
+    for i in range(r):
+        row = [((u + rot) % d, c) for u, c in enumerate(a[i * d : (i + 1) * d]) if c]
+        if not row:
+            continue
+        for j in range(i, r):
+            b = binoms[j - i]
+            if not b:
+                break
+            base = j * d
+            for u, cu in row:
+                out[base + u] += b * cu
+    return out
+
+
+def _series_binomials(a: list, binomials: Counter, d: int, r: int) -> list:
+    """A local series times the product of the (1 - s*q^e) binomials counted."""
+    for (s, e), times in binomials.items():
+        for _ in range(times):
+            shifted = _series_qpow(a, e, d, r)
+            a = [u - s * v for u, v in zip(a, shifted)]
+    return a
+
+
+def _nested_products(parts: list, d: int, r: int) -> list:
+    """Local series of the products of nested binomial multisets, one binomial multiply each.
+
+    Every part must contain the one before it; each product extends the
+    previous one by the binomials added.
+    """
+    out, have = [], Counter()
+    acc = [1] + [0] * (r * d - 1)
+    for part in parts:
+        if have - part:
+            raise ValueError("binomial parts are not nested")
+        acc = _series_binomials(acc, part - have, d, r)
+        have = part
+        out.append(acc)
+    return out
+
+
+def _local_terms(family: str, n: int, d: int, r: int) -> list:
+    """Local series of the numerators M_k of the first n terms over D = _common_den_binomials(n).
+
+    M_k = sign * q^qpow * (numerator binomials) * (D / term denominator).
+    The numerator binomials that term k shares with term k + 1 nest as k
+    grows and the cofactors D / term denominator nest as k falls, so both
+    are prefix products; the rest of each term is a few binomials.
+    """
+    terms = [_term_binomials(family, k) for k in range(n + 1)]
+    nums = [Counter(num) for _, _, num, _ in terms]
+    shared = [nums[k] & nums[k + 1] for k in range(n)]
+    full = Counter(_common_den_binomials(n))
+    cofactors = [full - Counter(den) for _, _, _, den in terms[:n]]
+    pres = _nested_products(shared, d, r)
+    sufs = _nested_products(cofactors[::-1], d, r)[::-1]
+    out = []
+    for k, (sign, qpow, _, _) in enumerate(terms[:n]):
+        m = _series_qpow(_series_mul(pres[k], sufs[k], d, r), qpow, d, r)
+        m = _series_binomials(m, nums[k] - shared[k], d, r)
+        out.append([-c for c in m] if sign < 0 else m)
+    return out
+
+
+def _local_sum(family: str, n: int, double: bool, d: int, r: int) -> list:
+    """Local series of the summed numerator N of _summed_numerator, never expanded."""
+    items = _local_terms(family, n, d, r)
+    if double:
+        return _pair_sum(items, lambda a, b: _series_mul(a, b, d, r))
+    acc: list = []
+    for item in items:
+        _accumulate(acc, item)
+    return acc
+
+
+def _dense_local(num: list, d: int, r: int) -> list:
+    """Local series of a dense integer polynomial: t^j x^a collects c_e C(e, j) over e = a mod d."""
+    out = [0] * (r * d)
+    for e, c in enumerate(num):
+        if c:
+            for j in range(min(r, e + 1)):
+                out[j * d + e % d] += c * comb(e, j)
+    return out
+
+
+def _local_verdict(local, den_binomials: list, n: int) -> QPoly:
+    """Residue-like witness of N / D modulo [n], from the local series of N at each d | n.
 
     [n] is the squarefree product of Phi_d over d | n, d > 1, and the
-    rest of D = sign * prod Phi_d^m_d is coprime to it, so only those
-    Phi_d matter.  Each is divided out of num exactly m_d times; a
-    division that leaves a remainder means Phi_d survives in the reduced
-    denominator and raises DenominatorNotCoprime.  The residue of
-    sign * num / prod_{d | n} Phi_d^m_d, folded modulo q^n - 1 (which
-    [n] divides), is zero iff v_Phi_d(num) > m_d for every such d, that
-    is iff num / D = 0 (mod [n]); only its vanishing is meaningful.
+    rest of D = sign * prod Phi_d^m_d is coprime to it, so N / D = 0
+    (mod [n]) iff v_Phi_d(N) > m_d for every such d.  local(d, r) gives
+    the local series of N truncated at t^r; with r = m_d + 1 its first
+    m_d coefficients must vanish modulo Phi_d, or Phi_d survives in the
+    reduced denominator and DenominatorNotCoprime is raised, and its
+    last coefficient is the verdict.  Returns ZERO when every verdict
+    vanishes, otherwise the first nonzero one, a polynomial in q of
+    degree below phi(d); only its vanishing is meaningful.
     """
-    sign, mults = _cyclotomic_multiplicities(den_binomials)
-    for d in sorted(mults):
-        if d == 1 or n % d:
-            continue
-        phi = list(cyclotomic(d).coeffs)
-        for _ in range(mults[d]):
-            num, rem = _int_divmod_unit_lead(num, phi)
-            if rem:
-                raise DenominatorNotCoprime(
-                    f"Phi_{d} is left in the reduced denominator and divides [{n}]"
-                )
-    if sign < 0:
-        num = [-c for c in num]
-    return divrem(QPoly._raw(_fold_list(num, n)), q_integer(n))[1]
+    mults = _cyclotomic_multiplicities(den_binomials)[1]
+    residue = ZERO
+    for d in _divisors(n)[1:]:
+        m = mults[d]
+        phi = cyclotomic(d).coeffs
+        series = local(d, m + 1)
+        coeffs = [_int_divmod_unit_lead(series[j * d : (j + 1) * d], phi)[1] for j in range(m + 1)]
+        if any(coeffs[:m]):
+            raise DenominatorNotCoprime(
+                f"Phi_{d} is left in the reduced denominator and divides [{n}]"
+            )
+        if coeffs[m] and residue.is_zero:
+            residue = QPoly._raw(coeffs[m])
+    return residue
 
 
 def reduced_sum_residue(term, n: int, double: bool) -> QPoly:
-    """Residue modulo [n] of the single or double sum, from its unreduced numerator.
+    """Witness modulo [n] of the single or double sum, by local expansion at each d | n.
 
     Zero iff the sum is congruent to 0 modulo [n]; only its vanishing is
-    meaningful.  A reduced denominator sharing a factor with [n] raises
-    DenominatorNotCoprime.
+    meaningful.  No numerator is expanded: each is built as a local
+    series from the term binomials.  A reduced denominator sharing a
+    factor with [n] raises DenominatorNotCoprime.
     """
     if n < 1:
         raise ValueError(f"reduced_sum_residue needs n >= 1, got {n}")
-    return _residue_by_valuations(*_summed_numerator(_family_name(term), n, double), n)
+    family = _family_name(term)
+    den = _common_den_binomials(n)
+    return _local_verdict(
+        lambda d, r: _local_sum(family, n, double, d, r), den * 2 if double else den, n
+    )
 
 
 # ---------------------------------------------------------------------------

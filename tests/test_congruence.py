@@ -135,3 +135,15 @@ def test_q_congruences_wider_scan():
             assert check(n, method="reduced").holds, (check.__name__, n, "reduced")
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"wider q-congruence scan took {elapsed:.2f}s (budget 60s)"
+
+
+def test_q_congruences_composite_scan():
+    # composite n, where Phi_d for a proper d | n divides the common
+    # denominator to a power m_d > 0 (m_3 = 14 at n = 45); its own budget
+    start = time.perf_counter()
+    for n in (33, 35, 39, 45):
+        for check in (check_eq1, check_eq2, check_eq3, check_eq4):
+            assert check(n, method="folded").holds, (check.__name__, n, "folded")
+            assert check(n, method="reduced").holds, (check.__name__, n, "reduced")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, f"composite q-congruence scan took {elapsed:.2f}s (budget 60s)"

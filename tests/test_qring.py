@@ -12,6 +12,7 @@ from qcong.qring import (
     QPoly,
     QRat,
     ZERO,
+    _norm,
     congruent_zero_mod_qint,
     cyclotomic,
     divrem,
@@ -362,3 +363,21 @@ def test_qrat_plus_polynomial_skips_the_gcd(monkeypatch, n):
     for s, p, plus, minus in cases:
         assert s + p == plus and p + s == plus and s + QRat(p) == plus
         assert s - p == minus and p - s == -minus and QRat(p) - s == -minus
+
+
+def test_scalar_multiply_skips_zero_coefficients():
+    rng = random.Random(20261018)
+    scalars = [3, -1, Fraction(1, 2), Fraction(-7, 3), Fraction(4, 2)]
+    for _ in range(200):
+        coeffs = []
+        while len(coeffs) < 30:
+            if rng.random() < 0.5:
+                coeffs += [0] * rng.randint(1, 6)  # a run of zeros
+            else:
+                coeffs.append(rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 5))]))
+        p = QPoly(coeffs + [1])
+        for s in scalars:
+            product = (p * s).coeffs
+            assert product == tuple(_norm(c * s) for c in p.coeffs)
+            assert all(type(c) is int for c, a in zip(product, p.coeffs) if not a)
+            assert (s * p).coeffs == product

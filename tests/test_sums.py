@@ -21,8 +21,12 @@ from qcong.sums import (
     _assembled_numerators,
     _common_den_binomials,
     _cyclotomic_multiplicities,
+    _dense_local,
     _folded_terms,
-    _residue_by_valuations,
+    _local_sum,
+    _local_terms,
+    _local_verdict,
+    _series_mul,
     _summed_numerator,
     c_q_term,
     cp_q_term,
@@ -34,6 +38,7 @@ from qcong.sums import (
     plain_conv_sum,
     q_double_sum,
     q_single_sum,
+    reduced_sum_residue,
     weighted_conv_sum,
 )
 
@@ -82,6 +87,22 @@ def naive_double_sum(term, n):
         for j in range(k + 1):
             acc = acc + term(j) * term(k - j)
     return acc
+
+
+def valuation_residue(num, den_binomials, n):
+    """Trial-division verdict: divide Phi_d out of num m_d times for each d | n, d > 1."""
+    mults = _cyclotomic_multiplicities(den_binomials)[1]
+    for d in range(2, n + 1):
+        for _ in range(mults[d] if n % d == 0 else 0):
+            num, rem = divrem(num, cyclotomic(d))
+            if not rem.is_zero:
+                raise DenominatorNotCoprime(f"Phi_{d}")
+    return divrem(fold_mod_qn_minus_1(num, n), q_integer(n))[1]
+
+
+def local_residue(num, den_binomials, n):
+    """The local verdict on a dense numerator given as a QPoly."""
+    return _local_verdict(lambda d, r: _dense_local(list(num.coeffs), d, r), den_binomials, n)
 
 
 # --- integer convolution sums ---------------------------------------------------
@@ -315,19 +336,42 @@ def test_valuation_verdict_agrees_with_reduced_sums(family, term, double):
     for n in range(3, 12, 2):
         s = build(term, n)
         num, den = _summed_numerator(family, n, double)
-        assert _residue_by_valuations(num, den, n).is_zero == congruent_zero_mod_qint(s, n).holds
+        num = QPoly(num)
+        assert reduced_sum_residue(term, n, double).is_zero == congruent_zero_mod_qint(s, n).holds
+        assert local_residue(num, den, n).is_zero == congruent_zero_mod_qint(s, n).holds
         # S + [n]/Phi_d vanishes modulo every Phi_e with e | n except Phi_d;
         # at n = 9, d = 3 the numerator then has exactly the Phi_3-adic
-        # valuation of D, so the verdict must divide Phi_3 out exactly
-        # m_3 times to see the failure
+        # valuation of D, so the verdict must read the t^m_3 coefficient
+        # of the local series, no deeper, to see the failure
         expanded_den = QPoly(_product_of_binomials(den))
         for d in range(2, n + 1):
             if n % d:
                 continue
             p = divrem(q_integer(n), cyclotomic(d))[0]
-            perturbed = list((QPoly(num) + p * expanded_den).coeffs)
-            assert not _residue_by_valuations(perturbed, den, n).is_zero, (n, d)
+            perturbed = num + p * expanded_den
+            assert not local_residue(perturbed, den, n).is_zero, (n, d)
+            assert not valuation_residue(perturbed, den, n).is_zero, (n, d)
             assert not congruent_zero_mod_qint(s + p, n).holds, (n, d)
+
+
+@pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
+@pytest.mark.parametrize("double", [False, True])
+def test_local_verdict_matches_trial_division_oracle(family, term, double):
+    for n in range(1, 16, 2):
+        num, den = _summed_numerator(family, n, double)
+        residue = reduced_sum_residue(term, n, double)
+        assert residue.is_zero == valuation_residue(QPoly(num), den, n).is_zero, n
+        assert residue == local_residue(QPoly(num), den, n), n
+        # q -> x(1 + t) is a ring map, so the series built from the term
+        # binomials equals the one read off the expanded numerator; two
+        # coefficients past the verdict, where a holding sum's series
+        # no longer vanishes
+        mults = _cyclotomic_multiplicities(den)[1]
+        for d in range(2, n + 1):
+            if n % d == 0:
+                r = mults[d] + 3
+                series = _local_sum(family, n, double, d, r)
+                assert any(series[-d:]) and series == _dense_local(num, d, r), (n, d)
 
 
 @pytest.mark.parametrize("family", ["c", "cp"])
@@ -335,15 +379,41 @@ def test_valuation_verdict_agrees_with_reduced_sums(family, term, double):
 def test_valuation_verdict_negative_control(family, n):
     ms = [QPoly(m) for m in _assembled_numerators(family, n)]
     num, den = _summed_numerator(family, n, double=False)
-    assert _residue_by_valuations(num, den, n).is_zero
+    assert local_residue(QPoly(num), den, n).is_zero
     # dropping the k = 0 numerator breaks the single sum's congruence
-    dropped = list((QPoly(num) - ms[0]).coeffs)
-    assert not _residue_by_valuations(dropped, den, n).is_zero
+    dropped = QPoly(num) - ms[0]
+    assert not local_residue(dropped, den, n).is_zero
+    assert not valuation_residue(dropped, den, n).is_zero
     # and dropping its (0, 0) pair breaks the double sum's
     num, den = _summed_numerator(family, n, double=True)
-    assert _residue_by_valuations(num, den, n).is_zero
-    dropped = list((QPoly(num) - ms[0] * ms[0]).coeffs)
-    assert not _residue_by_valuations(dropped, den, n).is_zero
+    assert local_residue(QPoly(num), den, n).is_zero
+    dropped = QPoly(num) - ms[0] * ms[0]
+    assert not local_residue(dropped, den, n).is_zero
+    assert not valuation_residue(dropped, den, n).is_zero
+
+
+@pytest.mark.parametrize("family", ["c", "cp"])
+@pytest.mark.parametrize("n,depths", [
+    (15, {3: 4, 5: 2}), (21, {3: 6, 7: 2}), (25, {5: 4}), (45, {3: 14, 5: 8, 9: 4, 15: 2}),
+])
+def test_local_verdict_negative_control_at_depth(family, n, depths):
+    # composite n where Phi_d divides D to a power m_d > 0, so the verdict
+    # is read at t^m_d (single) or t^2m_d (double), not at t^0
+    den = _common_den_binomials(n)
+    mults = _cyclotomic_multiplicities(den)[1]
+    assert {d: mults[d] for d in range(2, n) if n % d == 0} == depths
+
+    def dropped(double):
+        def local(d, r):
+            first = _local_terms(family, n, d, r)[0]
+            if double:
+                first = _series_mul(first, first, d, r)
+            return [a - b for a, b in zip(_local_sum(family, n, double, d, r), first)]
+        return local
+
+    # dropping the k = 0 term, or the (0, 0) pair, breaks the congruence
+    assert not _local_verdict(dropped(False), den, n).is_zero
+    assert not _local_verdict(dropped(True), den * 2, n).is_zero
 
 
 def test_valuation_verdict_refuses_shared_denominator_factor():
@@ -354,7 +424,7 @@ def test_valuation_verdict_refuses_shared_denominator_factor():
     phi3, phi9, unit = cyclotomic(3), cyclotomic(9), QPoly([1, 2])
 
     def residue(num):
-        return _residue_by_valuations(list(num.coeffs), den, 9)
+        return local_residue(num, den, 9)
 
     for v in (0, 1):
         with pytest.raises(DenominatorNotCoprime):
