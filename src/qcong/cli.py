@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import sys
 import time
@@ -115,12 +116,17 @@ def _congruence_instances(ids, limit: int):
 
 
 def _run(worker, instances: list, jobs: int):
-    """Records in instance order, each yielded as soon as it is ready."""
-    if jobs <= 1 or len(instances) <= 1:
+    """Records in instance order, each yielded as soon as it is ready.
+
+    A pool may start all its workers at once, so it gets no more than
+    there are instances or CPUs, whatever --jobs asks for.
+    """
+    workers = min(jobs, len(instances), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(worker, instances)
     else:
-        chunk = max(1, len(instances) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(instances) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(worker, instances, chunksize=chunk)
 
 
@@ -191,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers over instances")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel workers over instances, at most one per instance and per CPU")
 
     ident = vsub.add_parser("identity", help="closed forms against direct summation")
     ident.add_argument("--id", dest="ids", action="append", choices=IDENTITY_IDS,

@@ -32,7 +32,10 @@ give a canonical QRat.  The folded pipeline puts every term over the
 integer common denominator L = prod Phi_d^(max_k -e_d), which carries
 only even cyclotomic indices and so is coprime to [n] for odd n, and
 builds each numerator from the exponents as an integer polynomial
-folded modulo q^n - 1.
+folded modulo q^n - 1.  The numerators share most of their cyclotomic
+factors, so they are built from one prefix and one suffix chain of
+cyclotomic powers, each grown by its increments, and a few factors of
+their own.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import add, and_, sub
 
 from .bigmath import central_binomial
 from .errors import DenominatorNotCoprime
@@ -54,6 +59,7 @@ from .qring import (
     _int_divmod_unit_lead,
     _list_mul,
     _product_of_binomials,
+    _trim,
     cyclotomic,
     divrem,
     q_integer,
@@ -515,7 +521,69 @@ def reduced_sum_residue(term, n: int, double: bool) -> QPoly:
 
 
 def _mul_mod_qn(a: list, b: list, n: int) -> list:
-    return _fold_list(_list_mul(a, b), n)
+    """Product modulo q^n - 1 of two coefficient lists of length at most n, trimmed.
+
+    The product is written directly at the exponents (i + j) mod n, with
+    no intermediate of degree 2n - 2 to fold: for each nonzero a_i of the
+    sparser operand, the other operand rotated by i (a slice of it
+    written out twice) is added in a_i times.  Cyclotomic coefficients
+    are mostly +-1, which add or subtract the rotation as it is.
+    """
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
+    b = list(b) + [0] * (n - len(b))
+    b += b
+    out = [0] * n
+    for i, c in enumerate(a):
+        if c:
+            rot = b[n - i : 2 * n - i]
+            if c == 1:
+                out = list(map(add, out, rot))
+            elif c == -1:
+                out = list(map(sub, out, rot))
+            else:
+                out = [o + c * x for o, x in zip(out, rot)]
+    return _trim(out)
+
+
+def _chain_split(mults: list) -> tuple[list, list, list]:
+    """Split nonnegative exponent Counters m_k as u_k + v_k + r_k, all >= 0.
+
+    u_k = min over j >= k of m_j does not decrease with k, and
+    v_k = min over j <= k of (m_j - u_j) does not increase, so the
+    products prod Phi_d^u_k and prod Phi_d^v_k are a prefix and a suffix
+    chain, each built by multiplying in only its increments; r_k is the
+    rest of m_k.
+    """
+    us = list(accumulate(reversed(mults), and_))[::-1]
+    ws = [m - u for m, u in zip(mults, us)]
+    vs = list(accumulate(ws, and_))
+    return us, vs, [w - v for w, v in zip(ws, vs)]
+
+
+def _chain_products(mults: list, n: int) -> list:
+    """prod Phi_d^m_k(d) modulo q^n - 1 for each exponent Counter m_k, from shared chains."""
+    phis: dict[int, list] = {}
+
+    def times(image: list, exps: Counter) -> list:
+        for d, e in exps.items():
+            if d not in phis:
+                phis[d] = _fold_list(cyclotomic(d).coeffs, n)
+            for _ in range(e):
+                image = _mul_mod_qn(image, phis[d], n)
+        return image
+
+    def chain(parts) -> list:
+        out, image, have = [], [1], Counter()
+        for part in parts:
+            image = times(image, part - have)
+            have = part
+            out.append(image)
+        return out
+
+    us, vs, rs = _chain_split(mults)
+    sufs = chain(vs[::-1])[::-1]
+    return [times(_mul_mod_qn(pre, suf, n), r) for pre, suf, r in zip(chain(us), sufs, rs)]
 
 
 @lru_cache(maxsize=None)
@@ -524,15 +592,19 @@ def _folded_terms(family: str, n: int) -> tuple:
 
     Term k is N_k / L with L = prod Phi_d^L_d, where L_d is the largest
     multiplicity of Phi_d in any of the n term denominators, and
-    N_k = sign * q^qpow * prod Phi_d^(e_d + L_d) has integer
-    coefficients.  Each N_k is built folded mod q^n - 1 after every
-    multiply.  A sum of terms then vanishes modulo [n] iff the same sum
-    of the N_k does, because L is coprime to [n]: term denominators carry
-    only even cyclotomic indices and n is odd.  A denominator index d
-    that divides n raises DenominatorNotCoprime.
+    N_k = sign * q^qpow * prod Phi_d^m_k(d), m_k(d) = e_d + L_d >= 0, has
+    integer coefficients.  Numerator Pochhammers grow with k and
+    denominator cofactors shrink with k, so most of the m_k are shared:
+    _chain_products builds every prod Phi_d^m_k(d) mod q^n - 1 from one
+    prefix and one suffix chain of cyclotomic powers and a few factors
+    of its own, and the product is then rotated by q^qpow and signed.  A
+    sum of terms vanishes modulo [n] iff the same sum of the N_k does,
+    because L is coprime to [n]: term denominators carry only even
+    cyclotomic indices and n is odd.  A denominator index d that divides
+    n raises DenominatorNotCoprime.
     """
     terms = [_reduced_term(family, k) for k in range(n)]
-    common: dict[int, int] = {}
+    common = Counter()
     for k, (_, _, exps) in enumerate(terms):
         bad = [d for d, e in exps if e < 0 and n % d == 0]
         if bad:
@@ -541,21 +613,19 @@ def _folded_terms(family: str, n: int) -> tuple:
             )
         for d, e in exps:
             if e < 0:
-                common[d] = max(common.get(d, 0), -e)
-    phis: dict[int, list] = {}
-    images = []
-    for sign, qpow, exps in terms:
-        mult = dict(common)
+                common[d] = max(common[d], -e)
+    mults = []
+    for _, _, exps in terms:
+        mult = common.copy()
         for d, e in exps:
-            mult[d] = mult.get(d, 0) + e
+            mult[d] += e
+        mults.append(mult)
+    images = []
+    for (sign, qpow, _), product in zip(terms, _chain_products(mults, n)):
         image = [0] * n
-        image[qpow % n] = sign
-        for d, times in mult.items():
-            if d not in phis:
-                phis[d] = _fold_list(cyclotomic(d).coeffs, n)
-            for _ in range(times):
-                image = _mul_mod_qn(image, phis[d], n)
-        images.append(tuple(image))
+        for e, c in enumerate(product):
+            image[(e + qpow) % n] = sign * c
+        images.append(tuple(_trim(image)))
     return tuple(images)
 
 

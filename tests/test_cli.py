@@ -101,6 +101,41 @@ def test_jobs_do_not_change_records(capsys):
     assert strip_timing(out1) == strip_timing(out2)
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "jobs,cpus,expected",
+    [("100000", 4, 4), ("100000", None, None), ("3", 8, 3), ("100000", 64, 6)],
+)
+def test_jobs_are_bounded_by_cpus_and_instances(capsys, monkeypatch, jobs, cpus, expected):
+    # eq12 at --max-n 5 has six instances, k = 0..5
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out = run_cli(capsys, "verify", "identity", "--id", "eq12", "--max-n", "5",
+                        "--format", "json", "--jobs", jobs)
+    assert code == 0
+    assert len(out.splitlines()) == 6
+    # an unknown CPU count runs in-process, as --jobs 1 does
+    assert _InProcessPool.sizes == ([] if expected is None else [expected])
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "congruence", "--id", "eq7", "--limit", "2"])

@@ -1,14 +1,19 @@
 """Convolution sums and q-series terms against direct-summation oracles."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcong.errors import DenominatorNotCoprime
 from qcong.qring import (
     QPoly,
     QRat,
+    _fold_list,
     _product_of_binomials,
     congruent_zero_mod_qint,
     cyclotomic,
@@ -17,15 +22,20 @@ from qcong.qring import (
     q_integer,
     q_pochhammer,
 )
+from qcong import sums
 from qcong.sums import (
     _assembled_numerators,
+    _chain_products,
+    _chain_split,
     _common_den_binomials,
     _cyclotomic_multiplicities,
+    _cyclotomic_product,
     _dense_local,
     _folded_terms,
     _local_sum,
     _local_terms,
     _local_verdict,
+    _reduced_term,
     _series_mul,
     _summed_numerator,
     c_q_term,
@@ -468,3 +478,65 @@ def test_folded_terms_cache_holds_a_default_scan():
     hits = _folded_terms.cache_info().hits
     _folded_terms("c", 1)
     assert _folded_terms.cache_info().hits == hits + 1
+
+
+def _image_exponents(family, n):
+    """(sign, qpow, m_k) of the first n terms, m_k(d) = e_d(k) + L_d over the common denominator."""
+    terms = [_reduced_term(family, k) for k in range(n)]
+    common = {}
+    for _, _, exps in terms:
+        for d, e in exps:
+            if e < 0:
+                common[d] = max(common.get(d, 0), -e)
+    out = []
+    for sign, qpow, exps in terms:
+        m = dict(common)
+        for d, e in exps:
+            m[d] = m.get(d, 0) + e
+        out.append((sign, qpow, m))
+    return out
+
+
+@pytest.mark.parametrize("family", ["c", "cp"])
+def test_folded_images_match_full_degree_products(family):
+    for n in range(1, 22, 2):
+        images = _folded_terms(family, n)
+        for k, (sign, qpow, m) in enumerate(_image_exponents(family, n)):
+            full = [0] * qpow + [sign * c for c in _cyclotomic_product(sorted(m.items()))]
+            assert images[k] == tuple(_fold_list(full, n)), (family, n, k)
+
+
+exponent_vectors = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(0, 4), min_size=width, max_size=width), min_size=1, max_size=7
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_vectors, st.integers(1, 9))
+def test_chain_split_and_products(rows, n):
+    # exponent rows over the cyclotomic indices 1..width, zeros kept as entries
+    mults = [Counter({d: e for d, e in enumerate(row, 1)}) for row in rows]
+    us, vs, rs = _chain_split(mults)
+    for k, m in enumerate(mults):
+        assert us[k] + vs[k] + rs[k] == +m
+        assert all(e >= 0 for e in rs[k].values())
+        assert us[k] == reduce(and_, mults[k:])
+        if k:
+            assert not us[k - 1] - us[k]
+            assert not vs[k] - vs[k - 1]
+    direct = [_fold_list(_cyclotomic_product(sorted(m.items())), n) for m in mults]
+    assert _chain_products(mults, n) == direct
+
+
+def test_folded_terms_share_their_products(monkeypatch):
+    # one multiply per cyclotomic factor would be sum_k sum_d m_k(d) products
+    n, calls = 45, []
+    real = sums._mul_mod_qn
+    monkeypatch.setattr(sums, "_mul_mod_qn", lambda a, b, m: calls.append(m) or real(a, b, m))
+    factors = 0
+    for family in ("c", "cp"):
+        _folded_terms.__wrapped__(family, n)
+        factors += sum(sum(m.values()) for _, _, m in _image_exponents(family, n))
+    assert 0 < len(calls) < factors / 5
