@@ -13,63 +13,68 @@ q = -1/2 and q = 1.  The q = 1 point is a removable singularity of the
 rational closed form and is served by the exact specialized value
 instead of a limit.
 
-Each closed form is built as one integer numerator over its known
-denominator, a power of (q-1) up to sign, and reduced by one exact
-division through the integer unit-lead kernel; only a numerator that
-the power does not divide goes through the generic gcd reduction.
+Each closed form is a sparse integer numerator over a power (1-q)^r,
+r <= 3.  Dividing by 1 - q is one prefix-sum pass, whose last entry is
+the numerator's value at q = 1 and must vanish; r passes give the
+polynomial quotient.  Only a numerator that (1-q)^r does not divide goes
+through the generic gcd reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import SingularPoint
-from .qring import QPoly, QRat, divrem
-
-_Q = QPoly([0, 1])
-_ONE_MINUS_Q = QPoly([1, -1])
+from .qring import QPoly, QRat, _all_int, _trim
 
 
-def _exact_over(num: QPoly, den: QPoly) -> QRat:
-    """num/den as a canonical QRat, den a power of (1 - q) up to sign.
+def _sparse(terms) -> QPoly:
+    """The integer polynomial sum of c q^e over (e, c) pairs; exponents may repeat."""
+    cs = [0] * (max(e for e, _ in terms) + 1)
+    for e, c in terms:
+        cs[e] += c
+    return QPoly._raw(_trim(cs))
 
-    When den divides num the quotient is the reduced form and the gcd
-    is skipped; otherwise the generic reduction keeps the value exact.
+
+def _exact_over(num: QPoly, r: int, sign: int) -> QRat:
+    """sign * num / (1-q)^r as a canonical QRat.
+
+    When (1-q)^r divides num the quotient comes from r prefix-sum passes
+    and the gcd is skipped; otherwise the generic reduction keeps the
+    value exact.
     """
-    quot, rem = divrem(num, den)
-    if rem.is_zero:
-        return QRat(quot)
-    return QRat(num, den)
+    cs = num.coeffs if sign > 0 else [-c for c in num.coeffs]
+    for _ in range(r):
+        cs = list(accumulate(cs))
+        if cs and cs.pop():
+            return QRat(num * sign, QPoly([1, -1]) ** r)
+    return QRat(QPoly._raw(cs) if _all_int(cs) else QPoly(cs))
 
 
 def geometric_S(n: int) -> QRat:
     """Sum over k < n of k q^k, via the closed rational form.
 
-    q(1-q^(n-1))/(1-q)^2 - (n-1) q^n/(1-q), put over (1-q)^2 and
-    divided out exactly.
+    (q - n q^n + (n-1) q^(n+1)) / (1-q)^2, divided out exactly.
     """
     if n < 1:
         raise ValueError(f"geometric_S needs n >= 1, got {n}")
-    num = _Q * (1 - QPoly.q_power(n - 1)) - QPoly.q_power(n) * (n - 1) * _ONE_MINUS_Q
-    return _exact_over(num, _ONE_MINUS_Q**2)
+    return _exact_over(_sparse(((1, 1), (n, -n), (n + 1, n - 1))), 2, 1)
 
 
 def geometric_T(n: int) -> QRat:
     """Sum over k < n of k^2 q^k, via the closed rational form.
 
-    2q(1-q^(n-1))/(1-q)^3 - 2(n-1) q^n/(1-q)^2 - q(1-q^(n-1))/(1-q)^2
-    - (n-1)^2 q^n/(1-q), put over (1-q)^3 and divided out exactly.
+    (q + q^2 - n^2 q^n + (2n^2-2n-1) q^(n+1) - (n-1)^2 q^(n+2)) / (1-q)^3,
+    divided out exactly.
     """
     if n < 1:
         raise ValueError(f"geometric_T needs n >= 1, got {n}")
-    lead = _Q * (1 - QPoly.q_power(n - 1))
-    qn = QPoly.q_power(n)
-    num = (
-        2 * lead
-        - (2 * qn * (n - 1) + lead) * _ONE_MINUS_Q
-        - qn * (n - 1) ** 2 * _ONE_MINUS_Q**2
+    nn = n * n
+    num = _sparse(
+        ((1, 1), (2, 1), (n, -nn), (n + 1, 2 * nn - 2 * n - 1), (n + 2, -(n - 1) ** 2))
     )
-    return _exact_over(num, _ONE_MINUS_Q**3)
+    return _exact_over(num, 3, 1)
 
 
 def geometric_S_direct(n: int) -> QPoly:
@@ -98,11 +103,8 @@ def closed_form_numerator(n: int) -> QPoly:
     if n < 1:
         raise ValueError(f"closed_form_numerator needs n >= 1, got {n}")
     nn = n * n
-    poly = QPoly.q_power(n + 2) * (9 * nn - 15 * n + 8)
-    poly -= QPoly.q_power(n + 1) * (18 * nn - 12 * n - 8)
-    poly += QPoly.q_power(n) * (9 * nn + 3 * n + 2)
-    poly -= QPoly([2, 8, 8])
-    return poly
+    top = ((n + 2, 9 * nn - 15 * n + 8), (n + 1, -(18 * nn - 12 * n - 8)), (n, 9 * nn + 3 * n + 2))
+    return _sparse(top + ((0, -2), (1, -8), (2, -8)))
 
 
 def closed_form(n: int) -> QRat:
@@ -112,14 +114,13 @@ def closed_form(n: int) -> QRat:
     at n=1 while the (1-q)^3 reading gives -1, and only the (q-1)^3
     reading reproduces the q = -1/2 and q = 1 specializations.  A
     regression test pins the other reading to -1 times this one.  The
-    numerator is halved first, so the division by (q-1)^3 stays on
-    integer coefficients: each of its coefficients is even.
+    numerator is halved first, so the division stays on integer
+    coefficients: each of its coefficients is even.  It is then divided
+    by (1-q)^3 = -(q-1)^3 and negated.
     """
     if n < 1:
         raise ValueError(f"closed_form needs n >= 1, got {n}")
-    # the numerator is sparse: only its nonzero coefficients are halved
-    half = QPoly(Fraction(c, 2) if c else 0 for c in closed_form_numerator(n))
-    return _exact_over(half, QPoly([-1, 1]) ** 3)
+    return _exact_over(closed_form_numerator(n) * Fraction(1, 2), 3, -1)
 
 
 def special_q_neg_half(n: int) -> Fraction:
@@ -144,9 +145,8 @@ def closed_form_at(n: int, q0) -> Fraction:
     special_q_one via SingularPoint.
     """
     q0 = Fraction(q0)
-    form = closed_form(n)
     if q0 == 1:
         raise SingularPoint(
             "q = 1 is a removable singularity; use special_q_one(n) for the value"
         )
-    return form.evaluate(q0)
+    return closed_form(n).evaluate(q0)

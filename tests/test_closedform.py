@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcong import closedform
 from qcong.closedform import (
@@ -62,17 +63,59 @@ def test_closed_forms_divide_exactly_without_a_gcd(monkeypatch):
         assert geometric_T(n) == QRat(geometric_T_direct(n)), n
 
 
+def test_closed_forms_run_no_generic_kernel(monkeypatch):
+    # the exact path is prefix sums only: no division, product or gcd kernel
+    def refuse(*args):
+        raise AssertionError("generic kernel called on an exactly divisible closed form")
+
+    for name in ("divrem", "_int_divmod_unit_lead", "_list_mul", "poly_gcd"):
+        monkeypatch.setattr(f"qcong.qring.{name}", refuse)
+    for n in range(1, 201):
+        assert closed_form(n) == QRat(reduced_double_sum_poly(n)), n
+        assert geometric_S(n) == QRat(geometric_S_direct(n)), n
+        assert geometric_T(n) == QRat(geometric_T_direct(n)), n
+
+
 def test_exact_over_falls_back_to_the_canonical_qrat():
-    # a numerator the denominator does not divide still reduces exactly
+    # a numerator the denominator does not divide still reduces exactly;
+    # sign -1 over (1-q)^3 is the closed form's reading over (q-1)^3
     cases = [
-        (closed_form_numerator(n) * Fraction(1, 2), QPoly([-1, 1]) ** 3) for n in (1, 4, 9)
-    ] + [(QPoly(range(n)) * QPoly([1, -1]) ** 2, QPoly([1, -1]) ** 2) for n in (2, 5)]
-    for num, den in cases:
-        assert _exact_over(num, den) == QRat(num, den)
+        (closed_form_numerator(n) * Fraction(1, 2), 3, -1, QPoly([-1, 1]) ** 3)
+        for n in (1, 4, 9)
+    ] + [
+        (QPoly(range(n)) * QPoly([1, -1]) ** 2, 2, 1, QPoly([1, -1]) ** 2)
+        for n in (2, 5)
+    ]
+    for num, r, sign, den in cases:
+        assert _exact_over(num, r, sign) == QRat(num, den)
         bumped = num + 1
-        value = _exact_over(bumped, den)
+        value = _exact_over(bumped, r, sign)
         assert value.den.degree > 0
         assert value == QRat(bumped, den)
+
+
+coefficients = st.one_of(
+    st.integers(-50, 50), st.fractions(min_value=-10, max_value=10, max_denominator=6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(coefficients, max_size=31).map(QPoly),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, -1]),
+    coefficients.filter(bool),
+)
+def test_exact_over_divides_by_prefix_sums(p, r, sign, c):
+    den = QPoly([1, -1]) ** r
+    num = p * den
+    value = _exact_over(num, r, sign)
+    assert value == QRat(sign * p)
+    # integral coefficients come back as ints, as in every canonical QPoly
+    assert all(type(x) is int or x.denominator > 1 for x in value.num)
+    # num + c is nonzero at q = 1, so no power of 1 - q divides it
+    bumped = num + c
+    assert _exact_over(bumped, r, sign) == QRat(sign * bumped, den)
 
 
 def test_closed_form_fallback_keeps_the_value_exact(monkeypatch):
@@ -156,6 +199,16 @@ def test_closed_form_at_returns_consistent_record():
     value = closed_form_at(3, Fraction(-1, 2))
     assert isinstance(value, Fraction)
     assert value == closed_form(3).evaluate(Fraction(-1, 2)) == 3
+
+
+def test_closed_form_at_one_refuses_before_building_the_form(monkeypatch):
+    def no_form(n):
+        raise AssertionError("closed_form built for a point it cannot be evaluated at")
+
+    monkeypatch.setattr(closedform, "closed_form", no_form)
+    for q0 in (1, Fraction(3, 3)):
+        with pytest.raises(SingularPoint):
+            closed_form_at(7, q0)
 
 
 def test_q_one_is_a_removable_singularity():
