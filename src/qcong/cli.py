@@ -4,11 +4,14 @@
     qcong verify congruence --id eq7  --limit 499 [--format csv]  [--out F] [--jobs N]
     qcong eval --n 3 --q -1/2
 
+Each claim is one table entry, in claim order: an identity's first
+instance and its two sides, or a congruence's instances up to --limit.
 Records stream as each instance completes, in claim then instance
 order whatever the --id order or --jobs; a repeated --id runs once.
 One record per instance; json output is newline-delimited.  Exit codes:
 0 when every checked instance holds, 1 when any fails, 2 on usage
-errors, 3 on an internal inconsistency (records already written stay).
+errors (an --out that cannot be opened among them), 3 on an internal
+inconsistency (records already written stay).
 """
 
 from __future__ import annotations
@@ -29,11 +32,27 @@ from . import closedform, congruence, sums
 from .bigmath import odd_primes_up_to
 from .qring import QPoly, QRat
 
-IDENTITY_IDS = ("eq9", "eq10", "eq11", "eq12", "eq15", "eq19", "eq21", "eq23")
-CONGRUENCE_IDS = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "eq8")
+# claim -> (first instance, instance -> (lhs, rhs)), in claim order; each
+# side is looked up in its module when the instance runs
+_IDENTITIES = {
+    "eq9": (1, lambda n: (closedform.closed_form(n), QRat(closedform.reduced_double_sum_poly(n)))),
+    "eq10": (1, lambda n: (sums.double_sum(n, Fraction(-1, 8)), closedform.special_q_neg_half(n))),
+    "eq11": (1, lambda n: (sums.double_sum(n, Fraction(1, 4)), closedform.special_q_one(n))),
+    "eq12": (0, lambda k: (sums.inner_conv_sum(k), sums.inner_closed(k))),
+    "eq15": (0, lambda k: (sums.plain_conv_sum(k), 4**k)),
+    "eq19": (0, lambda k: (sums.weighted_conv_sum(k), 4**k * k * (k - 1) // 8)),
+    "eq21": (1, lambda n: (closedform.geometric_S(n), QRat(closedform.geometric_S_direct(n)))),
+    "eq23": (1, lambda n: (closedform.geometric_T(n), QRat(closedform.geometric_T_direct(n)))),
+}
 
-# claims whose instances start at 0 (indexed by k rather than n)
-_ZERO_BASED = {"eq12", "eq15", "eq19"}
+# claim -> its instances up to --limit: odd n for the q-congruences, odd primes otherwise
+_CONGRUENCES = {
+    **{f"eq{i}": lambda limit: range(1, limit + 1, 2) for i in range(1, 5)},
+    **{f"eq{i}": odd_primes_up_to for i in range(5, 9)},
+}
+
+IDENTITY_IDS = tuple(_IDENTITIES)
+CONGRUENCE_IDS = tuple(_CONGRUENCES)
 
 FIELDS = ("claim", "instance", "holds", "lhs", "rhs", "modulus", "elapsed_ms")
 
@@ -54,29 +73,7 @@ def _record(claim: str, instance: int, holds: bool, lhs, rhs, modulus: str, ms: 
 def _identity_instance(args: tuple[str, int]) -> dict:
     claim, n = args
     t0 = time.perf_counter()
-    if claim == "eq12":
-        lhs, rhs = sums.inner_conv_sum(n), sums.inner_closed(n)
-    elif claim == "eq15":
-        lhs, rhs = sums.plain_conv_sum(n), 4**n
-    elif claim == "eq19":
-        lhs, rhs = sums.weighted_conv_sum(n), 4**n * n * (n - 1) // 8
-    elif claim == "eq9":
-        lhs = closedform.closed_form(n)
-        rhs = QRat(closedform.reduced_double_sum_poly(n))
-    elif claim == "eq10":
-        lhs = sums.double_sum(n, Fraction(-1, 8))
-        rhs = closedform.special_q_neg_half(n)
-    elif claim == "eq11":
-        lhs = sums.double_sum(n, Fraction(1, 4))
-        rhs = closedform.special_q_one(n)
-    elif claim == "eq21":
-        lhs = closedform.geometric_S(n)
-        rhs = QRat(closedform.geometric_S_direct(n))
-    elif claim == "eq23":
-        lhs = closedform.geometric_T(n)
-        rhs = QRat(closedform.geometric_T_direct(n))
-    else:
-        raise ValueError(f"unknown identity id {claim!r}")
+    lhs, rhs = _IDENTITIES[claim][1](n)
     ms = round((time.perf_counter() - t0) * 1000)
     return _record(claim, n, lhs == rhs, lhs, rhs, "exact", ms)
 
@@ -93,26 +90,6 @@ def _congruence_instance(args: tuple[str, int]) -> dict:
         report.modulus_description,
         report.elapsed_ms,
     )
-
-
-def _identity_instances(ids, max_n: int):
-    for claim in ids:
-        start = 0 if claim in _ZERO_BASED else 1
-        for n in range(start, max_n + 1):
-            yield claim, n
-
-
-def _congruence_instances(ids, limit: int):
-    primes = None
-    for claim in ids:
-        if claim in ("eq1", "eq2", "eq3", "eq4"):
-            for n in range(1, limit + 1, 2):
-                yield claim, n
-        else:
-            if primes is None:
-                primes = odd_primes_up_to(limit)
-            for p in primes:
-                yield claim, p
 
 
 def _run(worker, instances: list, jobs: int):
@@ -148,13 +125,13 @@ def _render(r: dict, fmt: str) -> str:
     )
 
 
-def _cmd_verify(worker, instances, jobs: int, fmt: str, out: str | None) -> int:
+def _cmd_verify(worker, instances: list, jobs: int, fmt: str, out) -> int:
     checked = failing = 0
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+    with out as fh:
         if fmt == "csv":
             fh.write(_csv_row(FIELDS))
         try:
-            for record in _run(worker, list(instances), jobs):
+            for record in _run(worker, instances, jobs):
                 fh.write(_render(record, fmt))
                 fh.flush()
                 checked += 1
@@ -181,6 +158,13 @@ def _cmd_eval(n: int, q0: Fraction) -> int:
     else:
         print(f"closed form  (n={n}, q={_fmt(q0)}): {_fmt(closedform.closed_form_at(n, q0))}")
     return 0
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # "1/0" is as invalid as "abc"
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,15 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate the sum and closed form at a rational q")
     ev.add_argument("--n", type=int, required=True)
-    ev.add_argument("--q", type=Fraction, required=True, metavar="RAT")
+    ev.add_argument("--q", type=_rational, required=True, metavar="RAT")
     # let "--q -1/2" pass as a value instead of an unknown option
     ev._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     return parser
-
-
-def _canonical(ids) -> list[str]:
-    """Distinct claim ids by claim number: run order is report order."""
-    return sorted(set(ids), key=lambda claim: int(claim[2:]))
 
 
 def main(argv=None) -> int:
@@ -236,16 +215,24 @@ def main(argv=None) -> int:
 
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    # the workers are looked up here, when main runs, so they can be wrapped
     if args.target == "identity":
         if args.max_n < 1:
             parser.error(f"--max-n must be >= 1, got {args.max_n}")
-        instances = _identity_instances(_canonical(args.ids or IDENTITY_IDS), args.max_n)
-        return _cmd_verify(_identity_instance, instances, args.jobs, args.format, args.out)
-
-    if args.limit < 3:
-        parser.error(f"--limit must be >= 3, got {args.limit}")
-    instances = _congruence_instances(_canonical(args.ids or CONGRUENCE_IDS), args.limit)
-    return _cmd_verify(_congruence_instance, instances, args.jobs, args.format, args.out)
+        worker = _identity_instance
+        instances = [(claim, n) for claim in IDENTITY_IDS if claim in (args.ids or IDENTITY_IDS)
+                     for n in range(_IDENTITIES[claim][0], args.max_n + 1)]
+    else:
+        if args.limit < 3:
+            parser.error(f"--limit must be >= 3, got {args.limit}")
+        worker = _congruence_instance
+        instances = [(claim, n) for claim in CONGRUENCE_IDS if claim in (args.ids or CONGRUENCE_IDS)
+                     for n in _CONGRUENCES[claim](args.limit)]
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.error(f"cannot open --out {args.out}: {exc.strerror}")
+    return _cmd_verify(worker, instances, args.jobs, args.format, out)
 
 
 if __name__ == "__main__":

@@ -268,22 +268,24 @@ def _accumulate(acc: list, coeffs) -> None:
             acc[e] += c
 
 
-def _pair_sum(items, mul) -> list:
-    """Sum of mul(items[i], items[j]) over i + j < n, n = len(items), untrimmed.
+def _term_sum(items, mul, double: bool) -> list:
+    """Sum of the n items, or with double of mul(items[i], items[j]) over i + j < n; untrimmed.
 
-    Taken as the sum over j of mul(items[j], P(n-1-j)), with P(m) the
+    Every single and double sum of terms is assembled here; each caller
+    brings its own ring product mul, used only for a double sum.  That
+    is taken as the sum over j of mul(items[j], P(n-1-j)), with P(m) the
     prefix sum items[0] + ... + items[m]: n products instead of the
     pairs (i, j).
     """
-    n = len(items)
-    prefixes = []
-    prefix: list = []
-    for item in items:
-        _accumulate(prefix, item)
-        prefixes.append(list(prefix))
+    if double:
+        prefixes, prefix = [], []
+        for item in items:
+            _accumulate(prefix, item)
+            prefixes.append(list(prefix))
+        items = (mul(item, prefixes[-1 - j]) for j, item in enumerate(items))
     acc: list = []
-    for j, item in enumerate(items):
-        _accumulate(acc, mul(item, prefixes[n - 1 - j]))
+    for item in items:
+        _accumulate(acc, item)
     return acc
 
 
@@ -321,21 +323,12 @@ def _summed_numerator(family: str, n: int, double: bool) -> tuple[list, list]:
     The single sum of the first n terms is N / D with N the sum of the
     numerators M_k over D = _common_den_binomials(n).  The double sum
     over i + j < n of t(i)t(j) is N / D^2 with N the pair sum of the M_k,
-    built by _pair_sum from n products.  N is trimmed and not reduced
+    built by _term_sum from n products.  N is trimmed and not reduced
     against D.
     """
-    ms = _assembled_numerators(family, n)
+    num = _term_sum(_assembled_numerators(family, n), _list_mul, double)
     den = _common_den_binomials(n)
-    if double:
-        acc = _pair_sum(ms, _list_mul)
-        den = den * 2
-    else:
-        acc = []
-        for coeffs in ms:
-            _accumulate(acc, coeffs)
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc, den
+    return _trim(num), den * 2 if double else den
 
 
 def q_single_sum(term, n: int) -> QRat:
@@ -450,13 +443,7 @@ def _local_terms(family: str, n: int, d: int, r: int) -> list:
 
 def _local_sum(family: str, n: int, double: bool, d: int, r: int) -> list:
     """Local series of the summed numerator N of _summed_numerator, never expanded."""
-    items = _local_terms(family, n, d, r)
-    if double:
-        return _pair_sum(items, lambda a, b: _series_mul(a, b, d, r))
-    acc: list = []
-    for item in items:
-        _accumulate(acc, item)
-    return acc
+    return _term_sum(_local_terms(family, n, d, r), lambda a, b: _series_mul(a, b, d, r), double)
 
 
 def _dense_local(num: list, d: int, r: int) -> list:
@@ -638,21 +625,19 @@ def folded_single_sum_residue(term, n: int) -> QPoly:
     """
     if n < 1:
         raise ValueError(f"folded_single_sum_residue needs n >= 1, got {n}")
-    acc: list = []
-    for image in _folded_terms(_family_name(term), n):
-        _accumulate(acc, image)
+    acc = _term_sum(_folded_terms(_family_name(term), n), None, double=False)
     return divrem(QPoly(acc), q_integer(n))[1]
 
 
 def folded_double_sum_residue(term, n: int) -> QPoly:
     """Residue modulo [n] of the double sum, computed in Z[q]/(q^n - 1).
 
-    The sum over i + j < n of t(i)t(j) is built by _pair_sum from n
+    The sum over i + j < n of t(i)t(j) is built by _term_sum from n
     folded products.  Like the single sum, only its vanishing is
     meaningful.
     """
     if n < 1:
         raise ValueError(f"folded_double_sum_residue needs n >= 1, got {n}")
     images = _folded_terms(_family_name(term), n)
-    acc = _pair_sum(images, lambda a, b: _mul_mod_qn(a, b, n))
+    acc = _term_sum(images, lambda a, b: _mul_mod_qn(a, b, n), double=True)
     return divrem(QPoly(acc), q_integer(n))[1]

@@ -136,7 +136,7 @@ def test_jobs_are_bounded_by_cpus_and_instances(capsys, monkeypatch, jobs, cpus,
     assert _InProcessPool.sizes == ([] if expected is None else [expected])
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "congruence", "--id", "eq7", "--limit", "2"])
     assert exc.value.code == 2
@@ -149,6 +149,19 @@ def test_usage_errors_exit_2(capsys):
         main(["verify", "identity", "--id", "eq12", "--max-n", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # an --out that cannot be opened is refused before any instance runs
+    missing = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "congruence", "--id", "eq5", "--limit", "5", "--out", str(missing)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert str(missing) in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not missing.parent.exists()
+    # a zero denominator is as invalid a rational as a malformed one
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--n", "3", "--q", "1/0"])
+    assert exc.value.code == 2
+    assert "invalid Fraction value: '1/0'" in capsys.readouterr().err
 
 
 def test_eval_examples(capsys):

@@ -13,6 +13,15 @@ sympy = pytest.importorskip("sympy")
 
 from qcong.closedform import closed_form, geometric_S, geometric_T  # noqa: E402
 from qcong.qring import QPoly, QRat, cyclotomic, divrem, poly_gcd  # noqa: E402
+from qcong.sums import (  # noqa: E402
+    c_q_term,
+    cp_q_term,
+    folded_double_sum_residue,
+    folded_single_sum_residue,
+    q_double_sum,
+    q_single_sum,
+    reduced_sum_residue,
+)
 
 q = sympy.Symbol("q")
 
@@ -95,3 +104,73 @@ def test_closed_forms_against_sympy_cancel_of_the_printed_forms():
             value = ours[name]
             assert value.den == QPoly([1]), (name, n)
             assert value.num == from_poly(sympy.Poly(sympy.cancel(expr), q, domain="QQ")), (name, n)
+
+
+def binomial(s: int, m: int) -> "sympy.Poly":
+    """1 - s*q^m over ZZ (coefficients listed from the top degree down)."""
+    return sympy.Poly.from_list([-s] + [0] * (m - 1) + [1], q, domain="ZZ")
+
+
+def pochhammer(s: int, start: int, step: int, k: int) -> "sympy.Poly":
+    """(a; p)_k = prod over i < k of (1 - a p^i), with a = s*q^start and p = q^step."""
+    out = sympy.Poly(1, q, domain="ZZ")
+    for i in range(k):
+        out *= binomial(s, start + i * step)
+    return out
+
+
+def paper_numerator(family: str, k: int) -> "sympy.Poly":
+    """Numerator of the k-th term, from the q-Pochhammer definitions.
+
+    c(k)  = (-1)^k (q;q^2)_k (-q;q^2)_k^2 / ((q^4;q^4)_k (-q^4;q^4)_k^2) [6k+1] q^(3k^2),
+    c'(k) = (q^2;q^4)_k (-q;q^2)_k^2 / ((q^4;q^4)_k (-q^4;q^4)_k^2) [6k+1] q^(k^2).
+    """
+    if family == "c":
+        num, qpow = pochhammer(1, 1, 2, k) * (-1) ** k, 3 * k * k
+    else:
+        num, qpow = pochhammer(1, 2, 4, k), k * k
+    q_int = sympy.Poly.from_list([1] * (6 * k + 1), q, domain="ZZ")
+    return num * pochhammer(-1, 1, 2, k) ** 2 * q_int * sympy.Poly.from_list([1] + [0] * qpow, q)
+
+
+def paper_sum(family: str, n: int, double: bool) -> tuple:
+    """Reduced numerator and denominator of the single or double sum, over ZZ.
+
+    The terms go over the last term's denominator
+    D = (q^4;q^4)_(n-1) (-q^4;q^4)_(n-1)^2: term k's cofactor is
+    (q^(4k+4);q^4)_(n-1-k) (-q^(4k+4);q^4)_(n-1-k)^2, by
+    (a;p)_m = (a;p)_k (a p^k;p)_(m-k).  The double sum pairs the terms
+    over D^2.  Numerator and denominator are then divided by their gcd.
+    """
+    den = pochhammer(1, 4, 4, n - 1) * pochhammer(-1, 4, 4, n - 1) ** 2
+    nums = [paper_numerator(family, k) * pochhammer(1, 4 * k + 4, 4, n - 1 - k)
+            * pochhammer(-1, 4 * k + 4, 4, n - 1 - k) ** 2 for k in range(n)]
+    total = sympy.Poly(0, q, domain="ZZ")
+    if double:
+        for i in range(n):  # the pairs (i, j) and (j, i) give one product
+            for j in range(i, n - i):
+                total += nums[i] * nums[j] * (1 if i == j else 2)
+        den = den**2
+    else:
+        for num in nums:
+            total += num
+    return total.cofactors(den)[1:]  # each divided by their gcd
+
+
+@pytest.mark.parametrize("family, term", [("c", c_q_term), ("cp", cp_q_term)])
+def test_reduced_sums_against_sympy_pochhammers(family, term):
+    for n in range(1, 10):
+        for double, q_sum in ((False, q_single_sum), (True, q_double_sum)):
+            num, den = paper_sum(family, n, double)
+            lead = den.LC()  # +-1: the denominator is a product of cyclotomics
+            value = q_sum(term, n)
+            assert (value.num, value.den) == (from_poly(num.quo_ground(lead)),
+                                              from_poly(den.quo_ground(lead))), (family, n, double)
+            if n % 2 == 0:
+                continue
+            q_n = sympy.Poly.from_list([1] * n, q, domain="ZZ")
+            assert den.gcd(q_n).degree() == 0, (family, n, double)
+            vanishes = num.rem(q_n).is_zero
+            folded = folded_double_sum_residue if double else folded_single_sum_residue
+            assert reduced_sum_residue(term, n, double).is_zero == vanishes, (family, n, double)
+            assert folded(term, n).is_zero == vanishes, (family, n, double)
