@@ -179,6 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="target", required=True)
 
     def add_common(p):
+        # errors main raises after parsing print this subcommand's usage
+        p.set_defaults(usage_error=p.error)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--jobs", type=int, default=1,
@@ -199,39 +201,40 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate the sum and closed form at a rational q")
     ev.add_argument("--n", type=int, required=True)
     ev.add_argument("--q", type=_rational, required=True, metavar="RAT")
+    ev.set_defaults(usage_error=ev.error)
     # let "--q -1/2" pass as a value instead of an unknown option
     ev._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    error = args.usage_error
 
     if args.command == "eval":
         if args.n < 1:
-            parser.error(f"--n must be >= 1, got {args.n}")
+            error(f"--n must be >= 1, got {args.n}")
         return _cmd_eval(args.n, args.q)
 
     if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+        error(f"--jobs must be >= 1, got {args.jobs}")
     # the workers are looked up here, when main runs, so they can be wrapped
     if args.target == "identity":
         if args.max_n < 1:
-            parser.error(f"--max-n must be >= 1, got {args.max_n}")
+            error(f"--max-n must be >= 1, got {args.max_n}")
         worker = _identity_instance
         instances = [(claim, n) for claim in IDENTITY_IDS if claim in (args.ids or IDENTITY_IDS)
                      for n in range(_IDENTITIES[claim][0], args.max_n + 1)]
     else:
         if args.limit < 3:
-            parser.error(f"--limit must be >= 3, got {args.limit}")
+            error(f"--limit must be >= 3, got {args.limit}")
         worker = _congruence_instance
         instances = [(claim, n) for claim in CONGRUENCE_IDS if claim in (args.ids or CONGRUENCE_IDS)
                      for n in _CONGRUENCES[claim](args.limit)]
     try:
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        parser.error(f"cannot open --out {args.out}: {exc.strerror}")
+        error(f"cannot open --out {args.out}: {exc.strerror}")
     return _cmd_verify(worker, instances, args.jobs, args.format, out)
 
 

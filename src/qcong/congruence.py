@@ -6,7 +6,8 @@ Each check can run through two pipelines, and the verdicts must agree:
 
 - "folded" (the default) builds every term from its cyclotomic exponents
   over an integer common denominator coprime to [n] and works on the
-  numerators folded modulo q^n - 1;
+  numerators modulo [n]: each product is folded modulo q^n - 1 and then
+  reduced modulo [n], so the summed numerators are the residue;
 - "reduced" works over the binomial common denominator
   D = sign * prod Phi_d^m_d and decides by valuations: [n] is the
   squarefree product of Phi_d over d | n, d > 1, so the sum vanishes

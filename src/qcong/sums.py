@@ -32,10 +32,11 @@ give a canonical QRat.  The folded pipeline puts every term over the
 integer common denominator L = prod Phi_d^(max_k -e_d), which carries
 only even cyclotomic indices and so is coprime to [n] for odd n, and
 builds each numerator from the exponents as an integer polynomial
-folded modulo q^n - 1.  The numerators share most of their cyclotomic
-factors, so they are built from one prefix and one suffix chain of
-cyclotomic powers, each grown by its increments, and a few factors of
-their own.
+modulo [n]: every product is taken modulo q^n - 1 and then reduced
+modulo [n], which divides it, so the summed images already are the
+residue.  The numerators share most of their cyclotomic factors, so
+they are built from one prefix and one suffix chain of cyclotomic
+powers, each grown by its increments, and a few factors of their own.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ from .qring import (
     _product_of_binomials,
     _trim,
     cyclotomic,
-    divrem,
-    q_integer,
 )
 
 _central = lru_cache(maxsize=None)(central_binomial)
@@ -503,18 +502,32 @@ def reduced_sum_residue(term, n: int, double: bool) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# folded sum pipeline in Z[q]/(q^n - 1)
+# folded sum pipeline in Z[q]/([n])
 # ---------------------------------------------------------------------------
 
 
-def _mul_mod_qn(a: list, b: list, n: int) -> list:
-    """Product modulo q^n - 1 of two coefficient lists of length at most n, trimmed.
+def _mod_qint(cs: list, n: int) -> list:
+    """A coefficient list of length n reduced modulo [n], trimmed.
 
-    The product is written directly at the exponents (i + j) mod n, with
-    no intermediate of degree 2n - 2 to fold: for each nonzero a_i of the
-    sparser operand, the other operand rotated by i (a slice of it
-    written out twice) is added in a_i times.  Cyclotomic coefficients
-    are mostly +-1, which add or subtract the rotation as it is.
+    q^(n-1) = -(1 + q + ... + q^(n-2)) modulo [n], so the top
+    coefficient is subtracted from the others; at n = 1 nothing is left.
+    """
+    top = cs.pop()
+    if top:
+        cs = [c - top for c in cs]
+    return _trim(cs)
+
+
+def _mul_mod_qn(a: list, b: list, n: int) -> list:
+    """Product modulo [n] of two coefficient lists of length at most n, trimmed.
+
+    The product is written directly at the exponents (i + j) mod n, that
+    is modulo q^n - 1, with no intermediate of degree 2n - 2 to fold: for
+    each nonzero a_i of the sparser operand, the other operand rotated by
+    i (a slice of it written out twice) is added in a_i times.
+    Cyclotomic coefficients are mostly +-1, which add or subtract the
+    rotation as it is.  [n] divides q^n - 1, so one pass of _mod_qint
+    then leaves the product modulo [n], of degree below n - 1.
     """
     if len(a) - a.count(0) > len(b) - b.count(0):
         a, b = b, a
@@ -530,7 +543,7 @@ def _mul_mod_qn(a: list, b: list, n: int) -> list:
                 out = list(map(sub, out, rot))
             else:
                 out = [o + c * x for o, x in zip(out, rot)]
-    return _trim(out)
+    return _mod_qint(out, n)
 
 
 def _chain_split(mults: list) -> tuple[list, list, list]:
@@ -549,7 +562,7 @@ def _chain_split(mults: list) -> tuple[list, list, list]:
 
 
 def _chain_products(mults: list, n: int) -> list:
-    """prod Phi_d^m_k(d) modulo q^n - 1 for each exponent Counter m_k, from shared chains."""
+    """prod Phi_d^m_k(d) modulo [n] for each exponent Counter m_k, from shared chains."""
     phis: dict[int, list] = {}
 
     def times(image: list, exps: Counter) -> list:
@@ -575,20 +588,22 @@ def _chain_products(mults: list, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _folded_terms(family: str, n: int) -> tuple:
-    """Integer images mod q^n - 1 of the first n terms over one common denominator.
+    """Integer images mod [n] of the first n terms over one common denominator.
 
     Term k is N_k / L with L = prod Phi_d^L_d, where L_d is the largest
     multiplicity of Phi_d in any of the n term denominators, and
     N_k = sign * q^qpow * prod Phi_d^m_k(d), m_k(d) = e_d + L_d >= 0, has
     integer coefficients.  Numerator Pochhammers grow with k and
     denominator cofactors shrink with k, so most of the m_k are shared:
-    _chain_products builds every prod Phi_d^m_k(d) mod q^n - 1 from one
+    _chain_products builds every prod Phi_d^m_k(d) mod [n] from one
     prefix and one suffix chain of cyclotomic powers and a few factors
-    of its own, and the product is then rotated by q^qpow and signed.  A
-    sum of terms vanishes modulo [n] iff the same sum of the N_k does,
-    because L is coprime to [n]: term denominators carry only even
-    cyclotomic indices and n is odd.  A denominator index d that divides
-    n raises DenominatorNotCoprime.
+    of its own, and the product is then rotated by q^qpow, signed and
+    reduced mod [n] again.  Every image has fewer than n coefficients;
+    at prime n, [n] = Phi_n and the terms with k > (n-1)/2 carry Phi_n,
+    so their images are empty.  A sum of terms vanishes modulo [n] iff
+    the same sum of the N_k does, because L is coprime to [n]: term
+    denominators carry only even cyclotomic indices and n is odd.  A
+    denominator index d that divides n raises DenominatorNotCoprime.
     """
     terms = [_reduced_term(family, k) for k in range(n)]
     common = Counter()
@@ -612,32 +627,32 @@ def _folded_terms(family: str, n: int) -> tuple:
         image = [0] * n
         for e, c in enumerate(product):
             image[(e + qpow) % n] = sign * c
-        images.append(tuple(_trim(image)))
+        images.append(tuple(_mod_qint(image, n)))
     return tuple(images)
 
 
 def folded_single_sum_residue(term, n: int) -> QPoly:
-    """Residue modulo [n] of the single sum, computed entirely in Z[q]/(q^n - 1).
+    """Residue modulo [n] of the single sum: the sum of the images of _folded_terms.
 
     Zero iff the sum is congruent to 0 modulo [n]; the residue is that of
     the sum times the common denominator L of _folded_terms, a unit
-    modulo [n], so only its vanishing is meaningful.
+    modulo [n], so only its vanishing is meaningful.  The images are
+    residues mod [n] already, so their sum is one too, with no division.
     """
     if n < 1:
         raise ValueError(f"folded_single_sum_residue needs n >= 1, got {n}")
-    acc = _term_sum(_folded_terms(_family_name(term), n), None, double=False)
-    return divrem(QPoly(acc), q_integer(n))[1]
+    images = _folded_terms(_family_name(term), n)
+    return QPoly._raw(_trim(_term_sum(images, None, double=False)))
 
 
 def folded_double_sum_residue(term, n: int) -> QPoly:
-    """Residue modulo [n] of the double sum, computed in Z[q]/(q^n - 1).
+    """Residue modulo [n] of the double sum, computed in Z[q]/([n]).
 
     The sum over i + j < n of t(i)t(j) is built by _term_sum from n
-    folded products.  Like the single sum, only its vanishing is
-    meaningful.
+    products mod [n] of the images.  Like the single sum, only its
+    vanishing is meaningful.
     """
     if n < 1:
         raise ValueError(f"folded_double_sum_residue needs n >= 1, got {n}")
     images = _folded_terms(_family_name(term), n)
-    acc = _term_sum(images, lambda a, b: _mul_mod_qn(a, b, n), double=True)
-    return divrem(QPoly(acc), q_integer(n))[1]
+    return QPoly._raw(_trim(_term_sum(images, lambda a, b: _mul_mod_qn(a, b, n), double=True)))

@@ -137,31 +137,34 @@ def test_jobs_are_bounded_by_cpus_and_instances(capsys, monkeypatch, jobs, cpus,
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "congruence", "--id", "eq7", "--limit", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "identity", "--id", "eq77", "--max-n", "3"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "identity", "--id", "eq12", "--max-n", "0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # every usage error, raised by argparse or by main after parsing,
+    # prints the usage of the subcommand that owns the flag
+    def usage_error(usage, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: qcong {usage} [-h]"), err
+        return err
+
+    usage_error("verify congruence", "verify", "congruence", "--id", "eq7", "--limit", "2")
+    usage_error("verify identity", "verify", "identity", "--id", "eq77", "--max-n", "3")
+    usage_error("verify identity", "verify", "identity", "--id", "eq12", "--max-n", "0")
+    usage_error("verify identity", "verify", "identity", "--max-n", "3", "--jobs", "0")
+    usage_error("verify congruence", "verify", "congruence", "--limit", "5", "--jobs", "0")
+    usage_error("eval", "eval", "--n", "0", "--q", "2")
     # an --out that cannot be opened is refused before any instance runs
     missing = tmp_path / "missing" / "x.json"
     with pytest.raises(SystemExit) as exc:
         main(["verify", "congruence", "--id", "eq5", "--limit", "5", "--out", str(missing)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
+    assert captured.err.startswith("usage: qcong verify congruence [-h]")
     assert str(missing) in captured.err and "Traceback" not in captured.err
     assert captured.out == "" and not missing.parent.exists()
     # a zero denominator is as invalid a rational as a malformed one
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--n", "3", "--q", "1/0"])
-    assert exc.value.code == 2
-    assert "invalid Fraction value: '1/0'" in capsys.readouterr().err
+    err = usage_error("eval", "eval", "--n", "3", "--q", "1/0")
+    assert "invalid Fraction value: '1/0'" in err
 
 
 def test_eval_examples(capsys):

@@ -7,13 +7,15 @@ from functools import reduce
 from operator import and_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qcong.bigmath import is_odd_prime
 from qcong.errors import DenominatorNotCoprime
 from qcong.qring import (
     QPoly,
     QRat,
     _fold_list,
+    _list_mul,
     _product_of_binomials,
     congruent_zero_mod_qint,
     cyclotomic,
@@ -22,7 +24,7 @@ from qcong.qring import (
     q_integer,
     q_pochhammer,
 )
-from qcong import sums
+from qcong import congruence, sums
 from qcong.sums import (
     _assembled_numerators,
     _chain_products,
@@ -35,6 +37,7 @@ from qcong.sums import (
     _local_sum,
     _local_terms,
     _local_verdict,
+    _mul_mod_qn,
     _reduced_term,
     _series_mul,
     _summed_numerator,
@@ -497,13 +500,18 @@ def _image_exponents(family, n):
     return out
 
 
+def _mod_qint_oracle(coeffs, n):
+    """Coefficients of the remainder modulo [n], by long division."""
+    return divrem(QPoly(coeffs), q_integer(n))[1].coeffs
+
+
 @pytest.mark.parametrize("family", ["c", "cp"])
 def test_folded_images_match_full_degree_products(family):
     for n in range(1, 22, 2):
         images = _folded_terms(family, n)
         for k, (sign, qpow, m) in enumerate(_image_exponents(family, n)):
             full = [0] * qpow + [sign * c for c in _cyclotomic_product(sorted(m.items()))]
-            assert images[k] == tuple(_fold_list(full, n)), (family, n, k)
+            assert images[k] == _mod_qint_oracle(_fold_list(full, n), n), (family, n, k)
 
 
 exponent_vectors = st.integers(1, 4).flatmap(
@@ -526,8 +534,62 @@ def test_chain_split_and_products(rows, n):
         if k:
             assert not us[k - 1] - us[k]
             assert not vs[k] - vs[k - 1]
-    direct = [_fold_list(_cyclotomic_product(sorted(m.items())), n) for m in mults]
-    assert _chain_products(mults, n) == direct
+    direct = [_mod_qint_oracle(_fold_list(_cyclotomic_product(sorted(m.items())), n), n) for m in mults]
+    assert [tuple(p) for p in _chain_products(mults, n)] == direct
+
+
+@st.composite
+def operands_mod_qint(draw):
+    n = draw(st.integers(1, 15))
+    operand = st.lists(st.integers(-50, 50), max_size=n)
+    return draw(operand), draw(operand), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands_mod_qint())
+@example(([3], [-2], 1))
+@example(([1], [1], 1))
+@example(([0, 0, 0], [1, 2, 3], 3))
+@example(([], [5, 0, -1, 4], 5))
+@example(([1, 1, 1, 1, 1, 1, 1], [0, 1], 7))
+def test_mul_mod_qn_is_the_product_modulo_q_integer(operands):
+    a, b, n = operands
+    assert tuple(_mul_mod_qn(list(a), list(b), n)) == _mod_qint_oracle(_list_mul(a, b), n)
+
+
+@pytest.mark.parametrize("family", ["c", "cp"])
+def test_folded_images_are_residues_mod_q_integer(family):
+    for n in range(1, 22, 2):
+        images = _folded_terms(family, n)
+        assert all(len(image) < n for image in images), (family, n)
+        if is_odd_prime(n):
+            # terms with k > (n-1)/2 vanish modulo Phi_n = [n]
+            assert not any(images[(n + 1) // 2 :]), (family, n)
+    assert _folded_terms(family, 1) == ((),)
+
+
+@pytest.mark.parametrize("family,check", [("c", "check_eq1"), ("cp", "check_eq2"),
+                                          ("c", "check_eq3"), ("cp", "check_eq4")])
+@pytest.mark.parametrize("n", [5, 9, 15])
+def test_failing_folded_residue_is_the_full_degree_remainder(monkeypatch, family, check, n):
+    # drop the k = 0 image; the failing record's residue must be the
+    # remainder modulo [n] of the same sum built at full degree
+    real = _folded_terms(family, n)
+    monkeypatch.setattr(sums, "_folded_terms", lambda f, m: ((),) + real[1:])
+    full = [
+        QPoly([0] * qpow + [sign * c for c in _cyclotomic_product(sorted(m.items()))])
+        for sign, qpow, m in _image_exponents(family, n)
+    ]
+    full[0] = QPoly()
+    if check in ("check_eq1", "check_eq2"):
+        total = sum(full, QPoly())
+    else:
+        total = sum((full[i] * full[j] for i in range(n) for j in range(n - i)), QPoly())
+    expected = divrem(total, q_integer(n))[1]
+    report = getattr(congruence, check)(n)
+    assert not report.holds
+    assert not expected.is_zero
+    assert report.lhs_residue == expected
 
 
 def test_folded_terms_share_their_products(monkeypatch):
