@@ -23,12 +23,16 @@ only locally at the roots of unity of [n], and the factorization of the
 binomial common denominator, never reading the term exponents or
 folding modulo q^n - 1.  They share the division kernel, the
 cyclotomic factorization (with its sign) of a product of binomials, and
-the prefix-sum identity that turns a double sum into n products,
-sum over i + j < n of t(i)t(j) = sum over j of t(j) * P(n-1-j); the
-pair-sum oracles in the test suite check that identity on each path
-independently.  An error in how either path builds, cancels or combines
-terms therefore shows as a disagreement instead of being repeated by
-the other.
+two plans, each path multiplying in its own ring: the chains that build
+every term numerator from shared prefix and suffix products
+(sums._chain_products), and the prefix sums that turn a double sum into
+n products (sums._term_sum), which pair-sum oracles check on each path.
+Chain-free oracles check each path's numerators: the folded images
+against full cyclotomic products folded (_cyclotomic_product,
+_fold_list), the local series against the expanded numerators
+(_assembled_numerators, _dense_local).  An error in how either path
+builds, cancels or combines terms therefore shows as a disagreement or
+an oracle failure instead of being repeated by the other.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
 level: writing S(x, p) for the sum over k < p of x^k times the inner

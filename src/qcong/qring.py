@@ -150,8 +150,8 @@ def _product_of_binomials(factors) -> list[int]:
     return c
 
 
-def _int_divmod_unit_lead(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """divmod for integer coefficient lists where b has leading coefficient +-1."""
+def _int_divmod_unit_lead(a: list, b: list) -> tuple[list, list]:
+    """divmod for int or Fraction coefficient lists where b has leading coefficient +-1."""
     db = len(b) - 1
     lead = b[-1]
     r = list(a)
@@ -369,32 +369,19 @@ def _as_qpoly(x) -> QPoly:
 
 
 def divrem(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
-    """Quotient and remainder with a = q*b + r and degree(r) < degree(b)."""
+    """Quotient and remainder with a = q*b + r and degree(r) < degree(b).
+
+    a is divided by the monic b*inv, inv = 1/lead(b), and the quotient is scaled by inv.
+    """
     a, b = _as_qpoly(a), _as_qpoly(b)
     if b.is_zero:
         raise DivisionByZeroPoly("polynomial division by zero")
     if a.degree < b.degree:
         return ZERO, a
-    bc = list(b.coeffs)
-    if (bc[-1] == 1 or bc[-1] == -1) and _all_int(a.coeffs) and _all_int(bc):
-        qc, rc = _int_divmod_unit_lead(list(a.coeffs), bc)
-        return QPoly._raw(qc), QPoly._raw(rc)
-    db = len(bc) - 1
-    inv = 1 / Fraction(bc[-1])
-    r = list(a.coeffs)
-    q = [0] * (len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            t = _norm(c * inv)
-            q[i - db] = t
-            r[i] = 0
-            base = i - db
-            for j in range(db):
-                if bc[j]:
-                    r[base + j] = _norm(r[base + j] - t * bc[j])
-    del r[db:]
-    return QPoly._raw(_trim(q)), QPoly._raw(_trim(r))
+    lead = b.leading
+    inv = lead if lead == 1 or lead == -1 else 1 / Fraction(lead)
+    qc, rc = _int_divmod_unit_lead(list(a.coeffs), [c * inv for c in b.coeffs])
+    return QPoly(c * inv for c in qc), QPoly(rc)
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:

@@ -23,20 +23,21 @@ vanishes modulo [n] iff Phi_d divides the summed numerator N more than
 m_d times for every d | n, d > 1, and that valuation is the t-adic
 valuation of N at q = zeta_d (1 + t).  Each numerator is built from its
 binomials directly as such a local series, truncated just past m_d (2 m_d
-for a double sum), with prefix products of the nested binomials, and a
-double sum is n series products with prefix sums.  q_single_sum and
-q_double_sum, the canonical oracle, instead expand the numerators at
-full degree and cancel every Phi_d by trial division, building the
-reduced denominator from the multiplicities left, never expanding D, to
-give a canonical QRat.  The folded pipeline puts every term over the
-integer common denominator L = prod Phi_d^(max_k -e_d), which carries
-only even cyclotomic indices and so is coprime to [n] for odd n, and
-builds each numerator from the exponents as an integer polynomial
-modulo [n]: every product is taken modulo q^n - 1 and then reduced
-modulo [n], which divides it, so the summed images already are the
-residue.  The numerators share most of their cyclotomic factors, so
-they are built from one prefix and one suffix chain of cyclotomic
-powers, each grown by its increments, and a few factors of their own.
+for a double sum), and a double sum is n series products with prefix
+sums.  q_single_sum and q_double_sum, the canonical oracle, instead
+expand the numerators at full degree and cancel every Phi_d by trial
+division, building the reduced denominator from the multiplicities
+left, never expanding D, to give a canonical QRat.  The folded pipeline
+puts every term over the integer common denominator
+L = prod Phi_d^(max_k -e_d), which carries only even cyclotomic indices
+and so is coprime to [n] for odd n, and builds each numerator from the
+exponents as an integer polynomial modulo [n]: every product is taken
+modulo q^n - 1 and then reduced modulo [n], which divides it, so the
+summed images already are the residue.  On both pipelines the term
+numerators share most of their factors, binomials or cyclotomics, so one
+plan, _chain_products, builds each from a prefix and a suffix chain,
+each grown by its increments, and a few factors of its own, in the
+pipeline's own ring.
 """
 
 from __future__ import annotations
@@ -288,6 +289,48 @@ def _term_sum(items, mul, double: bool) -> list:
     return acc
 
 
+def _chain_split(mults: list) -> tuple[list, list, list]:
+    """Split nonnegative factor Counters m_k as u_k + v_k + r_k, all >= 0.
+
+    u_k = min over j >= k of m_j does not decrease with k, and
+    v_k = min over j <= k of (m_j - u_j) does not increase, so the
+    products of the factors counted by u_k and by v_k are a prefix and a
+    suffix chain, each built by multiplying in only its increments; r_k
+    is the rest of m_k.
+    """
+    us = list(accumulate(reversed(mults), and_))[::-1]
+    ws = [m - u for m, u in zip(mults, us)]
+    vs = list(accumulate(ws, and_))
+    return us, vs, [w - v for w, v in zip(ws, vs)]
+
+
+def _chain_products(mults: list, one, times, mul) -> list:
+    """For each factor Counter m_k, the product of its factors, from the chains of _chain_split.
+
+    Every pipeline builds its term numerators here in its own ring: one
+    is the unit, times(image, f) multiplies an image by one factor f and
+    mul(a, b) multiplies two images.
+    """
+
+    def extend(image, factors: Counter):
+        for f, e in factors.items():
+            for _ in range(e):
+                image = times(image, f)
+        return image
+
+    def chain(parts) -> list:
+        out, image, have = [], one, Counter()
+        for part in parts:
+            image = extend(image, part - have)
+            have = part
+            out.append(image)
+        return out
+
+    us, vs, rs = _chain_split(mults)
+    sufs = chain(vs[::-1])[::-1]
+    return [extend(mul(pre, suf), r) for pre, suf, r in zip(chain(us), sufs, rs)]
+
+
 def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
     """Reduce an integer numerator against a denominator given in binomial form.
 
@@ -391,51 +434,27 @@ def _series_qpow(a: list, e: int, d: int, r: int) -> list:
     return out
 
 
-def _series_binomials(a: list, binomials: Counter, d: int, r: int) -> list:
-    """A local series times the product of the (1 - s*q^e) binomials counted."""
-    for (s, e), times in binomials.items():
-        for _ in range(times):
-            shifted = _series_qpow(a, e, d, r)
-            a = [u - s * v for u, v in zip(a, shifted)]
-    return a
-
-
-def _nested_products(parts: list, d: int, r: int) -> list:
-    """Local series of the products of nested binomial multisets, one binomial multiply each.
-
-    Every part must contain the one before it; each product extends the
-    previous one by the binomials added.
-    """
-    out, have = [], Counter()
-    acc = [1] + [0] * (r * d - 1)
-    for part in parts:
-        if have - part:
-            raise ValueError("binomial parts are not nested")
-        acc = _series_binomials(acc, part - have, d, r)
-        have = part
-        out.append(acc)
-    return out
-
-
 def _local_terms(family: str, n: int, d: int, r: int) -> list:
     """Local series of the numerators M_k of the first n terms over D = _common_den_binomials(n).
 
     M_k = sign * q^qpow * (numerator binomials) * (D / term denominator).
-    The numerator binomials that term k shares with term k + 1 nest as k
-    grows and the cofactors D / term denominator nest as k falls, so both
-    are prefix products; the rest of each term is a few binomials.
+    The binomials of each M_k are multiplied in along the shared chains
+    of _chain_products, each (1 - s*q^e) as a - s*q^e*a.
     """
-    terms = [_term_binomials(family, k) for k in range(n + 1)]
-    nums = [Counter(num) for _, _, num, _ in terms]
-    shared = [nums[k] & nums[k + 1] for k in range(n)]
-    full = Counter(_common_den_binomials(n))
-    cofactors = [full - Counter(den) for _, _, _, den in terms[:n]]
-    pres = _nested_products(shared, d, r)
-    sufs = _nested_products(cofactors[::-1], d, r)[::-1]
+    terms = [_term_binomials(family, k) for k in range(n)]
+    full = _common_den_binomials(n)
+    # D lists the binomials of every term denominator first: D / den is the rest
+    mults = [Counter(num + full[len(den) :]) for _, _, num, den in terms]
+
+    def times(a: list, binomial) -> list:
+        s, e = binomial
+        return [u - s * v for u, v in zip(a, _series_qpow(a, e, d, r))]
+
+    one = [1] + [0] * (r * d - 1)
+    products = _chain_products(mults, one, times, lambda a, b: _series_mul(a, b, d, r))
     out = []
-    for k, (sign, qpow, _, _) in enumerate(terms[:n]):
-        m = _series_qpow(_series_mul(pres[k], sufs[k], d, r), qpow, d, r)
-        m = _series_binomials(m, nums[k] - shared[k], d, r)
+    for (sign, qpow, _, _), product in zip(terms, products):
+        m = _series_qpow(product, qpow, d, r)
         out.append([-c for c in m] if sign < 0 else m)
     return out
 
@@ -546,46 +565,6 @@ def _mul_mod_qn(a: list, b: list, n: int) -> list:
     return _mod_qint(out, n)
 
 
-def _chain_split(mults: list) -> tuple[list, list, list]:
-    """Split nonnegative exponent Counters m_k as u_k + v_k + r_k, all >= 0.
-
-    u_k = min over j >= k of m_j does not decrease with k, and
-    v_k = min over j <= k of (m_j - u_j) does not increase, so the
-    products prod Phi_d^u_k and prod Phi_d^v_k are a prefix and a suffix
-    chain, each built by multiplying in only its increments; r_k is the
-    rest of m_k.
-    """
-    us = list(accumulate(reversed(mults), and_))[::-1]
-    ws = [m - u for m, u in zip(mults, us)]
-    vs = list(accumulate(ws, and_))
-    return us, vs, [w - v for w, v in zip(ws, vs)]
-
-
-def _chain_products(mults: list, n: int) -> list:
-    """prod Phi_d^m_k(d) modulo [n] for each exponent Counter m_k, from shared chains."""
-    phis: dict[int, list] = {}
-
-    def times(image: list, exps: Counter) -> list:
-        for d, e in exps.items():
-            if d not in phis:
-                phis[d] = _fold_list(cyclotomic(d).coeffs, n)
-            for _ in range(e):
-                image = _mul_mod_qn(image, phis[d], n)
-        return image
-
-    def chain(parts) -> list:
-        out, image, have = [], [1], Counter()
-        for part in parts:
-            image = times(image, part - have)
-            have = part
-            out.append(image)
-        return out
-
-    us, vs, rs = _chain_split(mults)
-    sufs = chain(vs[::-1])[::-1]
-    return [times(_mul_mod_qn(pre, suf, n), r) for pre, suf, r in zip(chain(us), sufs, rs)]
-
-
 @lru_cache(maxsize=None)
 def _folded_terms(family: str, n: int) -> tuple:
     """Integer images mod [n] of the first n terms over one common denominator.
@@ -622,8 +601,12 @@ def _folded_terms(family: str, n: int) -> tuple:
         for d, e in exps:
             mult[d] += e
         mults.append(mult)
+    phis = {d: _fold_list(cyclotomic(d).coeffs, n) for d in set().union(*mults)}
+    products = _chain_products(
+        mults, [1], lambda a, d: _mul_mod_qn(a, phis[d], n), lambda a, b: _mul_mod_qn(a, b, n)
+    )
     images = []
-    for (sign, qpow, _), product in zip(terms, _chain_products(mults, n)):
+    for (sign, qpow, _), product in zip(terms, products):
         image = [0] * n
         for e, c in enumerate(product):
             image[(e + qpow) % n] = sign * c

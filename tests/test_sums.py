@@ -1,6 +1,7 @@
 """Convolution sums and q-series terms against direct-summation oracles."""
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -534,8 +535,18 @@ def test_chain_split_and_products(rows, n):
         if k:
             assert not us[k - 1] - us[k]
             assert not vs[k] - vs[k - 1]
+    # cyclotomic factors multiplied modulo [n], as the folded pipeline does
+    phis = {d: _fold_list(cyclotomic(d).coeffs, n) for d in range(1, len(rows[0]) + 1)}
+    chained = _chain_products(
+        mults, [1], lambda a, d: _mul_mod_qn(a, phis[d], n), lambda a, b: _mul_mod_qn(a, b, n)
+    )
     direct = [_mod_qint_oracle(_fold_list(_cyclotomic_product(sorted(m.items())), n), n) for m in mults]
-    assert [tuple(p) for p in _chain_products(mults, n)] == direct
+    assert [tuple(p) for p in chained] == direct
+    # and in a ring unrelated to both pipelines: integer factors f, prod f^e
+    primes = [2, 3, 5, 7]
+    ints = [Counter({primes[d - 1]: e for d, e in m.items()}) for m in mults]
+    products = _chain_products(ints, 1, operator.mul, operator.mul)
+    assert products == [math.prod(f**e for f, e in m.items()) for m in ints]
 
 
 @st.composite
@@ -602,3 +613,21 @@ def test_folded_terms_share_their_products(monkeypatch):
         _folded_terms.__wrapped__(family, n)
         factors += sum(sum(m.values()) for _, _, m in _image_exponents(family, n))
     assert 0 < len(calls) < factors / 5
+
+
+def test_local_terms_share_their_products(monkeypatch):
+    # one local multiply per binomial would be sum_k |m_k| _series_qpow calls,
+    # m_k the numerator binomials of term k and the cofactor D / its denominator
+    n = 45
+    full = Counter(_common_den_binomials(n))
+    real = sums._series_qpow
+    for family in ("c", "cp"):
+        calls = []
+        monkeypatch.setattr(sums, "_series_qpow", lambda *args: calls.append(1) or real(*args))
+        _local_terms(family, n, 3, 2)
+        monkeypatch.undo()
+        factors = sum(
+            sum((Counter(num) + (full - Counter(den))).values())
+            for _, _, num, den in (sums._term_binomials(family, k) for k in range(n))
+        )
+        assert 0 < len(calls) < factors / 10, family
