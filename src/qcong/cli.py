@@ -11,7 +11,8 @@ order whatever the --id order or --jobs; a repeated --id runs once.
 One record per instance; json output is newline-delimited.  Exit codes:
 0 when every checked instance holds, 1 when any fails, 2 on usage
 errors (an --out that cannot be opened among them), 3 on an internal
-inconsistency (records already written stay).
+inconsistency (records already written stay), 141 when the reader
+closes the output early (the status a shell gives SIGPIPE).
 """
 
 from __future__ import annotations
@@ -59,9 +60,7 @@ FIELDS = ("claim", "instance", "holds", "lhs", "rhs", "modulus", "elapsed_ms")
 
 def _fmt(value) -> str:
     """Stable string form: rationals as num/den in lowest terms, polys ascending."""
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (int, QPoly, QRat)):
+    if isinstance(value, (int, Fraction, QPoly, QRat)):
         return str(value)
     raise TypeError(f"cannot format {type(value).__name__}")
 
@@ -235,7 +234,12 @@ def main(argv=None) -> int:
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         error(f"cannot open --out {args.out}: {exc.strerror}")
-    return _cmd_verify(worker, instances, args.jobs, args.format, out)
+    try:
+        return _cmd_verify(worker, instances, args.jobs, args.format, out)
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; let that flush land in /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -80,8 +80,6 @@ def _intpoly_mul(a: list[int], b: list[int]) -> list[int]:
     """
     amax = max(map(abs, a))
     bmax = max(map(abs, b))
-    if amax == 0 or bmax == 0:
-        return []
     bound = amax * bmax * min(len(a), len(b))
     bits = ((bound.bit_length() + 2 + 7) // 8) * 8
     half = 1 << (bits - 1)
@@ -155,8 +153,6 @@ def _int_divmod_unit_lead(a: list, b: list) -> tuple[list, list]:
     db = len(b) - 1
     lead = b[-1]
     r = list(a)
-    if len(r) <= db:
-        return [], _trim(r)
     q = [0] * (len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i]
@@ -196,10 +192,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trim([_norm(c) for c in coeffs])))
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -318,7 +311,9 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its scalar, so it hashes like it; zero like 0
+        cs = self.coeffs
+        return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -480,34 +475,34 @@ class QRat:
     def __init__(self, num, den=None):
         num = _as_qpoly(num)
         den = ONE if den is None else _as_qpoly(den)
-        if den.is_zero:
-            raise DivisionByZeroPoly("rational function with zero denominator")
-        if num.is_zero:
-            num, den = ZERO, ONE
-        elif den.degree > 0:
+        if den.degree > 0 and not num.is_zero:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = divrem(num, g)[0]
                 den = divrem(den, g)[0]
-        num, den = _monic_den(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._set(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")
 
-    @classmethod
-    def _from_reduced(cls, num: QPoly, den: QPoly) -> "QRat":
-        """Wrap parts already known coprime, normalizing the denominator (internal)."""
+    def _set(self, num: QPoly, den: QPoly) -> "QRat":
+        """Store coprime parts in canonical form: zero as 0/1, the denominator monic."""
         if den.is_zero:
             raise DivisionByZeroPoly("rational function with zero denominator")
         if num.is_zero:
             num, den = ZERO, ONE
-        num, den = _monic_den(num, den)
-        r = object.__new__(cls)
-        object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den)
-        return r
+        lead = den.leading
+        if lead != 1:
+            inv = 1 / Fraction(lead)
+            num, den = num * inv, den * inv
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
+    def _from_reduced(cls, num: QPoly, den: QPoly) -> "QRat":
+        """Wrap parts already known coprime, normalizing the denominator (internal)."""
+        return object.__new__(cls)._set(num, den)
 
     @property
     def is_zero(self) -> bool:
@@ -571,7 +566,8 @@ class QRat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # over 1 it equals its numerator, so it hashes like it
+        return hash(self.num) if self.den == ONE else hash((self.num, self.den))
 
     def evaluate(self, x) -> Fraction:
         """Exact value at a rational point; the denominator must not vanish there."""
@@ -587,14 +583,6 @@ class QRat:
 
     def __repr__(self):
         return f"QRat({self.num!r}, {self.den!r})"
-
-
-def _monic_den(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
-    lead = den.leading
-    if lead != 1:
-        inv = 1 / Fraction(lead)
-        num, den = num * inv, den * inv
-    return num, den
 
 
 def _as_qrat(x):

@@ -140,22 +140,20 @@ def _term_binomials(family: str, k: int):
     """Numerator/denominator binomial factors of the k-th term, unreduced.
 
     [6k+1] enters as (1 - q^(6k+1)) in the numerator and (1 - q) in the
-    denominator so that everything stays a product of binomials.
+    denominator so that everything stays a product of binomials; the
+    denominator is then D_{k+1} of _common_den_binomials.
     """
     if family == "c":
         num = [(1, 2 * i + 1) for i in range(k)]
-        num += [(-1, 2 * i + 1) for i in range(k) for _ in range(2)]
         sign, qpow = (-1) ** k, 3 * k * k
     elif family == "cp":
         num = [(1, 4 * i + 2) for i in range(k)]
-        num += [(-1, 2 * i + 1) for i in range(k) for _ in range(2)]
         sign, qpow = 1, k * k
     else:
         raise ValueError(f"unknown term family {family!r}")
+    num += [(-1, 2 * i + 1) for i in range(k) for _ in range(2)]
     num.append((1, 6 * k + 1))
-    den = [(1, 1)]
-    den += [(s, 4 * i) for i in range(1, k + 1) for s in (1, -1, -1)]
-    return sign, qpow, num, den
+    return sign, qpow, num, _common_den_binomials(k + 1)
 
 
 def _cyclotomic_multiplicities(binomials) -> tuple[int, Counter]:
@@ -199,9 +197,9 @@ def _cyclotomic_product(factors) -> list[int]:
 
 
 def _family_name(term) -> str:
-    if term is c_q_term or term == "c":
+    if term is c_q_term:
         return "c"
-    if term is cp_q_term or term == "cp":
+    if term is cp_q_term:
         return "cp"
     raise ValueError("term must be c_q_term or cp_q_term")
 
@@ -234,11 +232,11 @@ def cp_q_term(k: int) -> QRat:
 
 
 def _common_den_binomials(n: int) -> list:
-    """(1-q) * product over 0 < i < n of (1-q^4i)(1+q^4i)^2.
+    """D_n = (1-q) * product over 0 < i < n of (1-q^4i)(1+q^4i)^2.
 
-    Every term denominator with index k < n divides this product, so
-    cofactors are again binomial products and the whole assembly stays
-    sparse.
+    Term k's denominator is D_{k+1}, a prefix of this list for every
+    k < n, so its cofactor D_n / D_{k+1} is the rest of the list, again
+    a binomial product, and the whole assembly stays sparse.
     """
     out = [(1, 1)]
     out += [(s, 4 * i) for i in range(1, n) for s in (1, -1, -1)]
@@ -248,11 +246,11 @@ def _common_den_binomials(n: int) -> list:
 @lru_cache(maxsize=None)
 def _assembled_numerators(family: str, n: int) -> tuple:
     """Numerators M_k of the first n terms over the shared denominator."""
+    full = _common_den_binomials(n)
     ms = []
     for k in range(n):
-        sign, qpow, num_binoms, _ = _term_binomials(family, k)
-        cofactor = [(s, 4 * i) for i in range(k + 1, n) for s in (1, -1, -1)]
-        coeffs = _product_of_binomials(num_binoms + cofactor)
+        sign, qpow, num_binoms, den = _term_binomials(family, k)
+        coeffs = _product_of_binomials(num_binoms + full[len(den) :])
         coeffs = [0] * qpow + coeffs
         if sign < 0:
             coeffs = [-c for c in coeffs]
@@ -341,8 +339,6 @@ def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
     denominator is the product of the Phi_d^m_d left uncancelled, built
     directly, and is monic; the sign moves to the numerator.
     """
-    if not num:
-        return QRat(ZERO)
     sign, mults = _cyclotomic_multiplicities(den_binomials)
     for d in sorted(mults):
         phi = list(cyclotomic(d).coeffs)
@@ -443,7 +439,6 @@ def _local_terms(family: str, n: int, d: int, r: int) -> list:
     """
     terms = [_term_binomials(family, k) for k in range(n)]
     full = _common_den_binomials(n)
-    # D lists the binomials of every term denominator first: D / den is the rest
     mults = [Counter(num + full[len(den) :]) for _, _, num, den in terms]
 
     def times(a: list, binomial) -> list:

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -276,6 +279,22 @@ def test_pipeline_value_error_exits_3_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in captured.err
     # the record written before the fault stays
     assert [json.loads(line)["instance"] for line in captured.out.splitlines()] == [1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_exits_141_quietly(jobs):
+    # a reader that stops early, like `| head -1`, is neither a failed claim nor a crash
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcong.cli", "verify", "identity", "--max-n", "300",
+         "--format", "csv", "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline().startswith(b"claim,instance,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 # claim -> (module, attribute) of the source of its left-hand side

@@ -142,6 +142,9 @@ def test_divrem_examples():
     assert divrem(QPoly([-1, 0, 1]), QPoly([-1, 1])) == (QPoly([1, 1]), ZERO)
     assert divrem(QPoly([-1, 0, 0, 1]), q_integer(3)) == (QPoly([-1, 1]), ZERO)
     assert divrem(QPoly([0, 1]), q_integer(3)) == (ZERO, QPoly([0, 1]))
+    q, r = divmod(QPoly([1, 0, 0, 0, 2]), QPoly([1, 2]))
+    assert (q, r) == (QPoly([Fraction(-1, 8), Fraction(1, 4), Fraction(-1, 2), 1]), Fraction(9, 8))
+    assert [q[e] for e in (-1, 0, 3, 4)] == [0, Fraction(-1, 8), 1, 0]
 
 
 def test_divrem_long_division_oracle():
@@ -317,6 +320,7 @@ def test_qrat_reduces_and_makes_denominator_monic():
     assert f.num == QPoly([Fraction(1, 2), Fraction(1, 2)])
     assert f.den == QPoly([-1, 1])
     assert f == QRat(QPoly([1, 1]), QPoly([-2, 2]))
+    assert str(f) == "(1/2 + 1/2*q) / (-1 + q)"
 
 
 def test_qrat_zero_and_equality():
@@ -329,6 +333,15 @@ def test_qrat_zero_denominator():
         QRat(ONE, ZERO)
 
 
+def test_equal_values_hash_equal():
+    p = QPoly([1, -2, 3])
+    assert len({3, QPoly([3]), QRat(3)}) == 1
+    assert len({0, ZERO, QRat(0), QRat(ZERO, QPoly([3, 1]))}) == 1
+    assert len({Fraction(1, 2), QPoly([Fraction(1, 2)]), QRat(Fraction(1, 2))}) == 1
+    assert len({p, QRat(p), QRat(p * QPoly([1, 1]), QPoly([1, 1]))}) == 1
+    assert QRat(p, QPoly([0, 1])) != p
+
+
 @settings(max_examples=100, deadline=None)
 @given(int_polys, int_polys, int_polys)
 def test_qrat_field_arithmetic(a, b, c):
@@ -339,6 +352,10 @@ def test_qrat_field_arithmetic(a, b, c):
     assert (x + y) == QRat(a + c, b)
     assert (x - y) + y == x
     assert x * QRat(b, ONE) == QRat(a)
+    assert (a / QRat(b)) * b == x * b == a  # QPoly / QRat runs __rtruediv__
+    assert x.is_zero == a.is_zero
+    with pytest.raises(DivisionByZeroPoly):
+        x / QRat(ZERO)
     g = poly_gcd(x.num, x.den) if not x.num.is_zero else ONE
     assert g == ONE  # stored form is reduced
     assert x.den.leading == 1

@@ -41,6 +41,7 @@ from qcong.sums import (
     _mul_mod_qn,
     _reduced_term,
     _series_mul,
+    _series_qpow,
     _summed_numerator,
     c_q_term,
     cp_q_term,
@@ -386,6 +387,24 @@ def test_local_verdict_matches_trial_division_oracle(family, term, double):
                 r = mults[d] + 3
                 series = _local_sum(family, n, double, d, r)
                 assert any(series[-d:]) and series == _dense_local(num, d, r), (n, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), max_size=12),
+    st.lists(st.integers(-9, 9), max_size=12),
+    st.integers(1, 7),
+    st.integers(1, 5),
+    st.integers(0, 30),
+)
+def test_local_series_kernels_are_ring_maps(a, b, d, r, e):
+    # q -> x(1 + t) is a ring map, so the kernels on local series agree
+    # with the same product or shift taken on the polynomials
+    def local(p):
+        return _dense_local(p, d, r)
+
+    assert _series_mul(local(a), local(b), d, r) == local(_list_mul(a, b))
+    assert _series_qpow(local(a), e, d, r) == local([0] * e + a)
 
 
 @pytest.mark.parametrize("family", ["c", "cp"])
