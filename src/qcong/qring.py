@@ -109,15 +109,11 @@ def _all_int(cs) -> bool:
 
 def _list_mul(a: list, b: list) -> list:
     """Coefficient-list product; sparse-aware, big-int packed when profitable."""
-    if not a or not b:
-        return []
     nza = sum(1 for c in a if c)
     nzb = sum(1 for c in b if c)
     if nza > nzb:
         a, b = b, a
         nza, nzb = nzb, nza
-    if nza == 0:
-        return []
     if nza * len(b) > 4096 and _all_int(a) and _all_int(b):
         return _intpoly_mul(a, b)
     out = [0] * (len(a) + len(b) - 1)
@@ -143,8 +139,6 @@ def _product_of_binomials(factors) -> list[int]:
                 if v:
                     nc[i + m] += v
         c = _trim(nc)
-        if not c:
-            break
     return c
 
 
@@ -245,14 +239,10 @@ class QPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _const(other)
-        elif not isinstance(other, QPoly):
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return _const(other) + (-self)
+        return -self + other
 
     def __neg__(self):
         return QPoly._raw([-c for c in self.coeffs])
@@ -291,10 +281,7 @@ class QPoly:
     def monic(self) -> "QPoly":
         if self.is_zero:
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return self * (1 / Fraction(lead))
+        return self * (1 / Fraction(self.coeffs[-1]))
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -371,8 +358,6 @@ def divrem(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
     a, b = _as_qpoly(a), _as_qpoly(b)
     if b.is_zero:
         raise DivisionByZeroPoly("polynomial division by zero")
-    if a.degree < b.degree:
-        return ZERO, a
     lead = b.leading
     inv = lead if lead == 1 or lead == -1 else 1 / Fraction(lead)
     qc, rc = _int_divmod_unit_lead(list(a.coeffs), [c * inv for c in b.coeffs])
@@ -386,7 +371,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
         raise BothZero("gcd(0, 0) is undefined")
     while not b.is_zero:
         r = divrem(a, b)[1]
-        a, b = b, (r.monic() if not r.is_zero else r)
+        a, b = b, r.monic()
     return a.monic()
 
 
@@ -444,8 +429,6 @@ def cyclotomic(n: int) -> QPoly:
     """
     if n < 1:
         raise ValueError(f"cyclotomic needs n >= 1, got {n}")
-    if n == 1:
-        return QPoly._raw((-1, 1))
     rem = [-1] + [0] * (n - 1) + [1]
     for d in _divisors(n)[:-1]:
         rem, r = _int_divmod_unit_lead(rem, list(cyclotomic(d).coeffs))
@@ -457,8 +440,6 @@ def fold_mod_qn_minus_1(f: QPoly, n: int) -> QPoly:
     """Remainder of f modulo q^n - 1, by summing coefficients of congruent exponents."""
     if n < 1:
         raise ValueError(f"fold needs n >= 1, got {n}")
-    if f.degree < n:
-        return f
     return QPoly._raw([_norm(c) for c in _fold_list(f.coeffs, n)])
 
 
@@ -529,13 +510,10 @@ class QRat:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_qrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._plus(-other.num, other.den)
+        return self + -other
 
     def __rsub__(self, other):
-        return _as_qrat(other) - self
+        return -self + other
 
     def __neg__(self):
         return QRat._from_reduced(-self.num, self.den)
@@ -600,7 +578,6 @@ class Verdict:
     holds: bool
     modulus: object
     residue: object
-    detail: str = ""
 
 
 def congruent_zero_mod_qint(f, n: int) -> Verdict:
@@ -609,29 +586,17 @@ def congruent_zero_mod_qint(f, n: int) -> Verdict:
     The congruence holds when [n] divides the numerator and the
     denominator is coprime to [n]; a denominator sharing a factor with
     [n] makes the congruence undefined and raises DenominatorNotCoprime
-    rather than returning a failing verdict.  Numerators of degree above
-    4n are folded modulo q^n - 1 first, which leaves the remainder
-    unchanged because [n] divides q^n - 1.
+    rather than returning a failing verdict.  The numerator is folded
+    modulo q^n - 1, then divided by [n] in at most one step; the fold
+    leaves the remainder unchanged because [n] divides q^n - 1.
     """
     if n < 2:
         raise ValueError(f"congruence modulo [n] needs n >= 2, got {n}")
-    if isinstance(f, QPoly):
-        num, den = f, ONE
-    elif isinstance(f, QRat):
-        num, den = f.num, f.den
-    else:
-        num, den = _as_qpoly(f), ONE
+    num, den = (f.num, f.den) if isinstance(f, QRat) else (_as_qpoly(f), ONE)
     modulus = q_integer(n)
     if den.degree > 0 and poly_gcd(den, modulus).degree > 0:
         raise DenominatorNotCoprime(
             f"denominator {den} shares a factor with [{n}]"
         )
-    if num.degree > 4 * n:
-        num = fold_mod_qn_minus_1(num, n)
-    residue = divrem(num, modulus)[1]
-    return Verdict(
-        holds=residue.is_zero,
-        modulus=modulus,
-        residue=residue,
-        detail=f"numerator remainder modulo [{n}]",
-    )
+    residue = divrem(fold_mod_qn_minus_1(num, n), modulus)[1]
+    return Verdict(holds=residue.is_zero, modulus=modulus, residue=residue)

@@ -251,10 +251,7 @@ def _assembled_numerators(family: str, n: int) -> tuple:
     for k in range(n):
         sign, qpow, num_binoms, den = _term_binomials(family, k)
         coeffs = _product_of_binomials(num_binoms + full[len(den) :])
-        coeffs = [0] * qpow + coeffs
-        if sign < 0:
-            coeffs = [-c for c in coeffs]
-        ms.append(tuple(coeffs))
+        ms.append(tuple([0] * qpow + [sign * c for c in coeffs]))
     return tuple(ms)
 
 
@@ -344,13 +341,12 @@ def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
         phi = list(cyclotomic(d).coeffs)
         while mults[d]:
             folded = _fold_list(num, d)
-            if folded and _int_divmod_unit_lead(folded, phi)[1]:
+            if _int_divmod_unit_lead(folded, phi)[1]:
                 break
             num, rem = _int_divmod_unit_lead(num, phi)
             assert not rem, f"fold pre-filter and division disagree at d={d}"
             mults[d] -= 1
-    if sign < 0:
-        num = [-c for c in num]
+    num = [sign * c for c in num]
     den = _cyclotomic_product(mults.items())
     return QRat._from_reduced(QPoly._raw(num), QPoly._raw(den))
 

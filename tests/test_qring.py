@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qcong.errors import BothZero, DenominatorNotCoprime, DivisionByZeroPoly
 from qcong.qring import (
@@ -26,6 +26,8 @@ small_coeffs = st.integers(-20, 20)
 int_polys = st.lists(small_coeffs, min_size=0, max_size=14).map(QPoly)
 rational_coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 mixed_polys = st.lists(st.one_of(small_coeffs, rational_coeffs), max_size=10).map(QPoly)
+qrats = st.builds(QRat, int_polys, int_polys.filter(bool))
+operands = st.one_of(small_coeffs, rational_coeffs, mixed_polys, qrats)
 
 
 def one_minus(sign, m):
@@ -102,6 +104,8 @@ def test_q_pochhammer_empty_product():
 def test_q_pochhammer_examples():
     assert q_pochhammer(1, 1, 2, 2) == QPoly([1, -1, 0, -1, 1])  # (q;q^2)_2
     assert q_pochhammer(-1, 1, 2, 1) == QPoly([1, 1])  # (-q;q^2)_1
+    for step, k in [(1, 2), (2, 3), (3, 5)]:
+        assert q_pochhammer(1, 0, step, k) == ZERO  # factors after (1 - q^0) keep it zero
 
 
 def test_q_pochhammer_against_factor_products():
@@ -145,6 +149,10 @@ def test_divrem_examples():
     q, r = divmod(QPoly([1, 0, 0, 0, 2]), QPoly([1, 2]))
     assert (q, r) == (QPoly([Fraction(-1, 8), Fraction(1, 4), Fraction(-1, 2), 1]), Fraction(9, 8))
     assert [q[e] for e in (-1, 0, 3, 4)] == [0, Fraction(-1, 8), 1, 0]
+    assert divrem(QPoly([Fraction(1, 2), 3]), QPoly([1, 0, 2])) == (ZERO, QPoly([Fraction(1, 2), 3]))
+    assert divrem(ZERO, QPoly([1, 2])) == (ZERO, ZERO)
+    assert divrem(QPoly([2, 0, 3]), 2) == (QPoly([1, 0, Fraction(3, 2)]), ZERO)
+    assert divrem(QPoly([1, 0, 1]), QPoly([1, Fraction(1, 2)])) == (QPoly([-4, 2]), QPoly([5]))
 
 
 def test_divrem_long_division_oracle():
@@ -195,6 +203,7 @@ def test_poly_gcd_examples():
     assert poly_gcd(QPoly([-1, 0, 1]), QPoly([1, -2, 1])) == QPoly([-1, 1])
     assert poly_gcd(QPoly([2, 2]), ZERO) == QPoly([1, 1])
     assert poly_gcd(QPoly([1, 1]), QPoly([1, 0, 1])) == ONE
+    assert poly_gcd(q_integer(4), q_integer(6)) == QPoly([1, 1])  # both monic
 
 
 def test_poly_gcd_euclid_remainder_oracle():
@@ -261,6 +270,8 @@ def test_cyclotomic_product_equals_q_integer():
 def test_fold_examples():
     assert fold_mod_qn_minus_1(QPoly.q_power(5), 3) == QPoly([0, 0, 1])
     assert fold_mod_qn_minus_1(QPoly([1, 1, 1]), 3) == QPoly([1, 1, 1])
+    assert fold_mod_qn_minus_1(QPoly([Fraction(1, 2), 0, -3]), 5) == QPoly([Fraction(1, 2), 0, -3])
+    assert fold_mod_qn_minus_1(ZERO, 4) == ZERO
     assert fold_mod_qn_minus_1(QPoly([-1, 0, 0, 1]), 3).is_zero
 
 
@@ -279,7 +290,7 @@ def test_fold_is_congruent_mod_q_integer():
         n = rng.randint(2, 30)
         f = QPoly([rng.randint(-50, 50) for _ in range(rng.randint(0, 500))])
         diff = f - fold_mod_qn_minus_1(f, n)
-        assert congruent_zero_mod_qint(QRat(diff), n).holds
+        assert divrem(diff, q_integer(n))[1].is_zero
 
 
 # --- the congruence predicate ------------------------------------------------------------
@@ -298,6 +309,25 @@ def test_congruent_zero_verdict_invariant():
     for f, n in [(QPoly([0, 1]), 3), (QPoly([-1, 0, 0, 1]), 3), (q_integer(25), 5)]:
         v = congruent_zero_mod_qint(f, n)
         assert v.holds == v.residue.is_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_congruent_zero_residue_is_the_long_division_remainder(n, data):
+    # degrees 0..10n: below n the fold changes nothing, above it the fold does the work
+    coeff = st.one_of(small_coeffs, rational_coeffs)
+    degree = data.draw(st.integers(0, 10 * n))
+    num = QPoly(data.draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1)))
+    den = data.draw(int_polys.filter(lambda d: poly_gcd(d, q_integer(n)) == ONE))
+    scalar = data.draw(coeff)
+    rat = QRat(num, den)
+    for f, top in [(num, num), (rat, rat.num), (scalar, QPoly([scalar]))]:
+        v = congruent_zero_mod_qint(f, n)
+        assert v.residue == divrem(top, q_integer(n))[1]
+        assert v.holds == v.residue.is_zero and v.modulus == q_integer(n)
+    for bad in (1.5, "q", [1, 2]):
+        with pytest.raises(TypeError):
+            congruent_zero_mod_qint(bad, n)
 
 
 def test_congruent_zero_denominator_not_coprime():
@@ -359,6 +389,26 @@ def test_qrat_field_arithmetic(a, b, c):
     g = poly_gcd(x.num, x.den) if not x.num.is_zero else ONE
     assert g == ONE  # stored form is reduced
     assert x.den.leading == 1
+
+
+def _value(f, x):
+    """Exact value at q = x of a scalar, a QPoly or a QRat."""
+    if isinstance(f, QRat):
+        return f.evaluate(x)
+    return f(x) if isinstance(f, QPoly) else Fraction(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mixed_polys, qrats), operands, st.fractions(-3, 3, max_denominator=7))
+def test_subtraction_ring_laws(a, b, x):
+    # evaluation goes through num(x)/den(x), never through __sub__
+    dens = [f.den for f in (a, b) if isinstance(f, QRat)]
+    assume(all(d(x) != 0 for d in dens))
+    for left, right in ((a, b), (b, a)):
+        diff = left - right
+        assert diff + right == left
+        assert right - left == -diff
+        assert _value(diff, x) == _value(left, x) - _value(right, x)
 
 
 @pytest.mark.parametrize("n", [3, 5])
