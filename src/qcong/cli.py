@@ -201,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--n", type=int, required=True)
     ev.add_argument("--q", type=_rational, required=True, metavar="RAT")
     ev.set_defaults(usage_error=ev.error)
-    # let "--q -1/2" pass as a value instead of an unknown option
-    ev._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+    # let "--q -1/2" and "--q -.5" pass as values instead of unknown options
+    ev._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

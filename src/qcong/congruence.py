@@ -28,11 +28,11 @@ every term numerator from shared prefix and suffix products
 (sums._chain_products), and the prefix sums that turn a double sum into
 n products (sums._term_sum), which pair-sum oracles check on each path.
 Chain-free oracles check each path's numerators: the folded images
-against full cyclotomic products folded (_cyclotomic_product,
-_fold_list), the local series against the expanded numerators
-(_assembled_numerators, _dense_local).  An error in how either path
-builds, cancels or combines terms therefore shows as a disagreement or
-an oracle failure instead of being repeated by the other.
+against full products of cyclotomic powers folded (_fold_list), the
+local series against the expanded numerators (_assembled_numerators,
+_dense_local).  An error in how either path builds, cancels or
+combines terms therefore shows as a disagreement or an oracle failure
+instead of being repeated by the other.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
 level: writing S(x, p) for the sum over k < p of x^k times the inner

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .errors import BothZero, DenominatorNotCoprime, DivisionByZeroPoly
 
@@ -200,7 +201,7 @@ class QPoly:
 
     @classmethod
     def q_power(cls, m: int) -> "QPoly":
-        return cls._raw((0,) * m + (1,))
+        return ONE.shift(m)
 
     @property
     def degree(self) -> int:
@@ -273,7 +274,9 @@ class QPoly:
         return divrem(self, other)
 
     def shift(self, m: int) -> "QPoly":
-        """Multiply by q^m."""
+        """Multiply by q^m, m >= 0."""
+        if m < 0:
+            raise ValueError(f"shift needs m >= 0, got {m}")
         if self.is_zero or m == 0:
             return self
         return QPoly._raw((0,) * m + self.coeffs)
@@ -284,11 +287,11 @@ class QPoly:
         return self * (1 / Fraction(self.coeffs[-1]))
 
     def __call__(self, x) -> Fraction:
-        """Exact evaluation at a rational point."""
-        acc = Fraction(0)
+        """Exact evaluation at a rational point; a float is taken at its exact value."""
+        x, acc = Fraction(x), Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return Fraction(acc)
+        return acc
 
     def __eq__(self, other):
         if isinstance(other, QPoly):
@@ -423,17 +426,15 @@ def q_pochhammer(sign: int, e: int, step: int, k: int) -> QPoly:
 def cyclotomic(n: int) -> QPoly:
     """The n-th cyclotomic polynomial (monic, integer coefficients).
 
-    Computed as (q^n - 1) divided by the cyclotomic polynomials of the
-    proper divisors of n; the test suite cross-checks this against the
-    Moebius product formula.
+    Computed as one exact division of q^n - 1 by the product of the
+    cyclotomic polynomials of the proper divisors of n; the test suite
+    cross-checks this against the Moebius product formula.
     """
     if n < 1:
         raise ValueError(f"cyclotomic needs n >= 1, got {n}")
-    rem = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n)[:-1]:
-        rem, r = _int_divmod_unit_lead(rem, list(cyclotomic(d).coeffs))
-        assert not r, f"cyclotomic division left a remainder at n={n}, d={d}"
-    return QPoly._raw(rem)
+    phi, r = divrem(QPoly._raw([-1] + [0] * (n - 1) + [1]), prod(map(cyclotomic, _divisors(n)[:-1])))
+    assert not r, f"cyclotomic division left a remainder at n={n}"
+    return phi
 
 
 def fold_mod_qn_minus_1(f: QPoly, n: int) -> QPoly:

@@ -46,12 +46,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 from operator import add, and_, sub
 
 from .bigmath import central_binomial
 from .errors import DenominatorNotCoprime
 from .qring import (
+    ONE,
     QPoly,
     QRat,
     ZERO,
@@ -186,16 +187,6 @@ def _reduced_term(family: str, k: int):
     return sign * num_sign * den_sign, qpow, tuple(sorted((d, e) for d, e in exps.items() if e))
 
 
-def _cyclotomic_product(factors) -> list[int]:
-    """Integer coefficients of the product of Phi_d^e over (d, e) pairs, e >= 0."""
-    out = [1]
-    for d, e in factors:
-        phi = list(cyclotomic(d).coeffs)
-        for _ in range(e):
-            out = _list_mul(out, phi)
-    return out
-
-
 def _family_name(term) -> str:
     if term is c_q_term:
         return "c"
@@ -207,9 +198,9 @@ def _family_name(term) -> str:
 @lru_cache(maxsize=None)
 def _term_qrat(family: str, k: int) -> QRat:
     sign, qpow, exps = _reduced_term(family, k)
-    num = _cyclotomic_product((d, e) for d, e in exps if e > 0)
-    den = _cyclotomic_product((d, -e) for d, e in exps if e < 0)
-    return QRat._from_reduced(QPoly._raw(num).shift(qpow) * sign, QPoly._raw(den))
+    num = prod((cyclotomic(d) ** e for d, e in exps if e > 0), start=ONE)
+    den = prod((cyclotomic(d) ** -e for d, e in exps if e < 0), start=ONE)
+    return QRat._from_reduced(num.shift(qpow) * sign, den)
 
 
 def c_q_term(k: int) -> QRat:
@@ -346,9 +337,8 @@ def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
             num, rem = _int_divmod_unit_lead(num, phi)
             assert not rem, f"fold pre-filter and division disagree at d={d}"
             mults[d] -= 1
-    num = [sign * c for c in num]
-    den = _cyclotomic_product(mults.items())
-    return QRat._from_reduced(QPoly._raw(num), QPoly._raw(den))
+    den = prod((cyclotomic(d) ** m for d, m in mults.items()), start=ONE)
+    return QRat._from_reduced(QPoly._raw([sign * c for c in num]), den)
 
 
 def _summed_numerator(family: str, n: int, double: bool) -> tuple[list, list]:

@@ -80,6 +80,8 @@ def test_central_binomial_examples():
     assert central_binomial(5) == 252
     for k in range(80):
         assert central_binomial(k) == binomial(2 * k, k)
+    with pytest.raises(ValueError):
+        central_binomial(-1)
 
 
 # --- modular arithmetic --------------------------------------------------------
@@ -99,6 +101,8 @@ def test_mod_inverse_not_invertible():
         mod_inverse(6, 9)
     with pytest.raises(NotInvertible):
         mod_inverse(0, 5)
+    with pytest.raises(ValueError):
+        mod_inverse(1, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,6 +126,8 @@ def test_rational_mod_examples():
 def test_rational_mod_rejects_shared_factor():
     with pytest.raises(DenominatorNotCoprime):
         rational_mod(Fraction(1, 3), 9)
+    with pytest.raises(ValueError):
+        rational_mod(Fraction(1, 3), 1)
 
 
 @settings(max_examples=200, deadline=None)

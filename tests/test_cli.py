@@ -180,6 +180,14 @@ def test_eval_examples(capsys):
     code, out = run_cli(capsys, "eval", "--n", "3", "--q", "-1/2")
     assert code == 0
     assert ": 3" in out
+    # every spelling of a negative rational is a value, not an unknown option
+    for q in ("-0.5", "-.5", "-5e-1"):
+        assert run_cli(capsys, "eval", "--n", "3", "--q", q) == (0, out)
+    code, out = run_cli(capsys, "eval", "--n", "3", "--q", "-1e-1")
+    assert code == 0 and "q=-1/10): 13/25" in out
+    # a float is never a record value: rendering one is refused, not rounded
+    with pytest.raises(TypeError):
+        cli._fmt(1.5)
 
 
 def test_eval_redirects_singular_point(capsys):

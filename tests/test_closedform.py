@@ -220,7 +220,8 @@ def test_q_one_is_a_removable_singularity():
 
 
 def test_preconditions():
-    for fn in (geometric_S, geometric_T, reduced_double_sum_poly, closed_form,
+    for fn in (geometric_S, geometric_T, geometric_S_direct, geometric_T_direct,
+               reduced_double_sum_poly, closed_form_numerator, closed_form,
                special_q_neg_half, special_q_one):
         with pytest.raises(ValueError):
             fn(0)

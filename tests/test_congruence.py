@@ -101,6 +101,8 @@ def test_q_claims_reject_even_n():
     for check in (check_eq1, check_eq2, check_eq3, check_eq4):
         with pytest.raises(EvenN):
             check(4)
+    with pytest.raises(ValueError):
+        check_eq1(0)
 
 
 def test_folded_and_reduced_paths_agree():

@@ -74,6 +74,24 @@ def test_zero_polynomial_canonical_form():
     assert QPoly([]).degree == -1
     assert QPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert QPoly([Fraction(4, 2)]).coeffs == (2,)  # integral fractions collapse to int
+    assert QPoly([True, False]).coeffs == (1,) and type(QPoly([True])[0]) is int
+    with pytest.raises(TypeError):
+        QPoly([1, 1.5])
+    with pytest.raises(ValueError):
+        ZERO.leading
+    with pytest.raises(AttributeError):
+        ONE.coeffs = (3,)
+    with pytest.raises(TypeError):
+        QPoly([1, 2]) * "q"
+
+
+def test_shift_and_powers_reject_negative_exponents():
+    assert QPoly([1, 2]).shift(2) == QPoly([0, 0, 1, 2])
+    assert QPoly.q_power(0) == ONE and QPoly.q_power(3) == QPoly([0, 0, 0, 1])
+    for call in (lambda: QPoly([1, 2]).shift(-1), lambda: ZERO.shift(-1),
+                 lambda: QPoly.q_power(-1), lambda: QPoly([1, 1]) ** -1):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_qpoly_str():
@@ -85,12 +103,20 @@ def test_qpoly_str():
 def test_qpoly_evaluation_is_exact():
     p = QPoly([1, Fraction(-3, 2), 5])
     assert p(Fraction(1, 3)) == 1 - Fraction(1, 2) + Fraction(5, 9)
+    # a float point is taken at its exact binary value, never rounded on the way
+    p = QPoly([1, 1, 1] + [0] * 20 + [1])
+    assert p(0.1) == p(Fraction(0.1)) != p(Fraction(1, 10))
+    assert QRat(p, QPoly([2, 1])).evaluate(0.1) == p(Fraction(0.1)) / (2 + Fraction(0.1))
+    with pytest.raises(ZeroDivisionError):
+        QRat(ONE, QPoly([-1, 1])).evaluate(1)
 
 
 def test_q_integer():
     assert q_integer(0).is_zero
     assert q_integer(1) == ONE
     assert q_integer(3) == QPoly([1, 1, 1])
+    with pytest.raises(ValueError):
+        q_integer(-1)
 
 
 # --- q-Pochhammer -----------------------------------------------------------------
@@ -106,6 +132,10 @@ def test_q_pochhammer_examples():
     assert q_pochhammer(-1, 1, 2, 1) == QPoly([1, 1])  # (-q;q^2)_1
     for step, k in [(1, 2), (2, 3), (3, 5)]:
         assert q_pochhammer(1, 0, step, k) == ZERO  # factors after (1 - q^0) keep it zero
+    # a bad sign, e, step or k, one at a time
+    for args in [(0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1), (1, 1, 1, -1)]:
+        with pytest.raises(ValueError):
+            q_pochhammer(*args)
 
 
 def test_q_pochhammer_against_factor_products():
@@ -249,10 +279,13 @@ def test_cyclotomic_examples():
     assert cyclotomic(1) == QPoly([-1, 1])
     assert cyclotomic(2) == QPoly([1, 1])
     assert cyclotomic(6) == QPoly([1, -1, 1])
+    with pytest.raises(ValueError):
+        cyclotomic(0)
 
 
 def test_cyclotomic_against_mobius_oracle():
-    for n in list(range(1, 31)) + [36, 48, 60, 105]:
+    # 832 = 8 * 104 is the largest index the n = 105 folded terms request
+    for n in list(range(1, 31)) + [36, 48, 60, 105, 210, 243, 256, 385, 625, 630, 832]:
         assert cyclotomic(n) == cyclotomic_by_mobius(n)
 
 
@@ -273,6 +306,8 @@ def test_fold_examples():
     assert fold_mod_qn_minus_1(QPoly([Fraction(1, 2), 0, -3]), 5) == QPoly([Fraction(1, 2), 0, -3])
     assert fold_mod_qn_minus_1(ZERO, 4) == ZERO
     assert fold_mod_qn_minus_1(QPoly([-1, 0, 0, 1]), 3).is_zero
+    with pytest.raises(ValueError):
+        fold_mod_qn_minus_1(ONE, 0)
 
 
 def test_fold_matches_divrem_by_qn_minus_1():
@@ -356,6 +391,13 @@ def test_qrat_reduces_and_makes_denominator_monic():
 def test_qrat_zero_and_equality():
     assert QRat(ZERO, QPoly([3, 1])) == QRat(0)
     assert QRat(QPoly([2]), QPoly([4])) == QRat(Fraction(1, 2))
+    f = QRat(ONE, QPoly([1, 1]))
+    assert (f == "q") is False
+    for apply in (lambda x: f + x, lambda x: f * x, lambda x: f / x):
+        with pytest.raises(TypeError):
+            apply("q")
+    with pytest.raises(AttributeError):
+        f.num = ONE
 
 
 def test_qrat_zero_denominator():

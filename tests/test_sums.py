@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from qcong.bigmath import is_odd_prime
 from qcong.errors import DenominatorNotCoprime
 from qcong.qring import (
+    ONE,
     QPoly,
     QRat,
     _fold_list,
@@ -32,7 +33,6 @@ from qcong.sums import (
     _chain_split,
     _common_den_binomials,
     _cyclotomic_multiplicities,
-    _cyclotomic_product,
     _dense_local,
     _folded_terms,
     _local_sum,
@@ -189,6 +189,9 @@ def test_double_sum_specialization_to_halved_quadratic():
 def test_double_sum_rejects_n_below_1():
     with pytest.raises(ValueError):
         double_sum(0, Fraction(1, 4))
+    for fn in (inner_conv_sum, inner_closed, plain_conv_sum, weighted_conv_sum):
+        with pytest.raises(ValueError):
+            fn(-1)
 
 
 @pytest.mark.parametrize(
@@ -251,6 +254,15 @@ def test_terms_reject_negative_k():
         c_q_term(-1)
     with pytest.raises(ValueError):
         cp_q_term(-1)
+    # only the two term families have terms and sums
+    with pytest.raises(ValueError):
+        _reduced_term("x", 1)
+    with pytest.raises(ValueError):
+        q_single_sum(abs, 3)
+    for fn in (q_single_sum, q_double_sum, folded_single_sum_residue, folded_double_sum_residue,
+               lambda term, n: reduced_sum_residue(term, n, double=False)):
+        with pytest.raises(ValueError):
+            fn(c_q_term, 0)
 
 
 # --- q sums ----------------------------------------------------------------------------
@@ -530,7 +542,8 @@ def test_folded_images_match_full_degree_products(family):
     for n in range(1, 22, 2):
         images = _folded_terms(family, n)
         for k, (sign, qpow, m) in enumerate(_image_exponents(family, n)):
-            full = [0] * qpow + [sign * c for c in _cyclotomic_product(sorted(m.items()))]
+            product = math.prod((cyclotomic(d) ** e for d, e in m.items()), start=ONE)
+            full = [0] * qpow + [sign * c for c in product]
             assert images[k] == _mod_qint_oracle(_fold_list(full, n), n), (family, n, k)
 
 
@@ -559,7 +572,10 @@ def test_chain_split_and_products(rows, n):
     chained = _chain_products(
         mults, [1], lambda a, d: _mul_mod_qn(a, phis[d], n), lambda a, b: _mul_mod_qn(a, b, n)
     )
-    direct = [_mod_qint_oracle(_fold_list(_cyclotomic_product(sorted(m.items())), n), n) for m in mults]
+    direct = [
+        _mod_qint_oracle(_fold_list(math.prod((cyclotomic(d) ** e for d, e in m.items()), start=ONE), n), n)
+        for m in mults
+    ]
     assert [tuple(p) for p in chained] == direct
     # and in a ring unrelated to both pipelines: integer factors f, prod f^e
     primes = [2, 3, 5, 7]
@@ -607,7 +623,7 @@ def test_failing_folded_residue_is_the_full_degree_remainder(monkeypatch, family
     real = _folded_terms(family, n)
     monkeypatch.setattr(sums, "_folded_terms", lambda f, m: ((),) + real[1:])
     full = [
-        QPoly([0] * qpow + [sign * c for c in _cyclotomic_product(sorted(m.items()))])
+        math.prod((cyclotomic(d) ** e for d, e in m.items()), start=ONE).shift(qpow) * sign
         for sign, qpow, m in _image_exponents(family, n)
     ]
     full[0] = QPoly()
