@@ -21,9 +21,10 @@ Each instance is checked through two independent pipelines:
    Phi_d-adic valuations at the d | n: [n] is the squarefree product of
    those Phi_d, so the sum vanishes mod [n] iff Phi_d divides the
    numerator more than m_d times for each of them.  No numerator is
-   expanded at full degree: each is built from its binomials as a
-   series at q = zeta_d (1 + t), truncated just past t^m_d, whose
-   t-adic valuation is the Phi_d-adic one.
+   expanded at full degree: at q = zeta_d (1 + t) each is t^c_k times
+   a unit, c_k its binomials 1 - q^m with d | m, and the verdict at d
+   is the sum of the units' constant terms over the terms with
+   c_k = m_d, built from the binomials in Z[x]/(x^d - 1).
 """
 
 from qcong import (

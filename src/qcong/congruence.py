@@ -12,27 +12,29 @@ Each check can run through two pipelines, and the verdicts must agree:
   D = sign * prod Phi_d^m_d and decides by valuations: [n] is the
   squarefree product of Phi_d over d | n, d > 1, so the sum vanishes
   modulo [n] iff Phi_d divides the summed numerator more than m_d times
-  for every such d.  It reads that valuation off the numerator expanded
-  at q = zeta_d (1 + t), truncated just past t^m_d, and never expands a
-  numerator at full degree.
+  for every such d.  At q = zeta_d (1 + t) each term numerator is t^c_k
+  times a unit, c_k >= m_d, and the verdict at d is the sum of the units'
+  constant terms over c_k = m_d, modulo Phi_d.
 
 The two build the sum from different data: the folded path from the
 term exponents, never expanding a binomial product or dividing by a
-cyclotomic; the reduced path from the term binomials, each expanded
-only locally at the roots of unity of [n], and the factorization of the
-binomial common denominator, never reading the term exponents or
-folding modulo q^n - 1.  They share the division kernel, the
-cyclotomic factorization (with its sign) of a product of binomials, and
-two plans, each path multiplying in its own ring: the chains that build
-every term numerator from shared prefix and suffix products
+cyclotomic; the reduced path from the term binomials, each read at
+depth 1 at the roots of unity of [n], and the factorization of the
+binomial common denominator, never folding modulo q^n - 1 or reading a
+term exponent: each c_k counts the binomials whose own local series has
+a vanishing constant term.  They share the division kernel, the cyclotomic
+factorization (with its sign) of a product of binomials, and two plans,
+each path multiplying in its own ring: the chains that build every term
+numerator from shared prefix and suffix products
 (sums._chain_products), and the prefix sums that turn a double sum into
 n products (sums._term_sum), which pair-sum oracles check on each path.
 Chain-free oracles check each path's numerators: the folded images
 against full products of cyclotomic powers folded (_fold_list), the
-local series against the expanded numerators (_assembled_numerators,
-_dense_local).  An error in how either path builds, cancels or
-combines terms therefore shows as a disagreement or an oracle failure
-instead of being repeated by the other.
+depth-1 images against the local series of the expanded numerators
+(_assembled_numerators and a depth-r series in the tests).  An error in
+how either path builds, cancels or combines terms therefore shows as a
+disagreement or an oracle failure instead of being repeated by the
+other.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
 level: writing S(x, p) for the sum over k < p of x^k times the inner

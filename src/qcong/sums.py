@@ -21,10 +21,13 @@ binomial common denominator D = sign * prod Phi_d^m_d.  Its congruence
 verdict never expands a numerator: [n] is squarefree, so the sum
 vanishes modulo [n] iff Phi_d divides the summed numerator N more than
 m_d times for every d | n, d > 1, and that valuation is the t-adic
-valuation of N at q = zeta_d (1 + t).  Each numerator is built from its
-binomials directly as such a local series, truncated just past m_d (2 m_d
-for a double sum), and a double sum is n series products with prefix
-sums.  q_single_sum and q_double_sum, the canonical oracle, instead
+valuation of N at q = zeta_d (1 + t).  For odd d a binomial vanishes
+there iff it is 1 - q^m with d | m, and then it is t times a unit, so
+each term numerator is t^c_k times a unit whose constant term, its
+depth-1 image in Z[x]/(x^d - 1), is built from the binomials directly.
+Every c_k is at least m_d, so the verdict at d is the sum of the images
+of the terms with c_k = m_d, or their pair sum for a double sum, modulo
+Phi_d.  q_single_sum and q_double_sum, the canonical oracle, instead
 expand the numerators at full degree and cancel every Phi_d by trial
 division, building the reduced denominator from the multiplicities
 left, never expanding D, to give a canonical QRat.  The folded pipeline
@@ -46,11 +49,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, prod
+from math import prod
 from operator import add, and_, sub
 
 from .bigmath import central_binomial
-from .errors import DenominatorNotCoprime
+from .errors import DenominatorNotCoprime, EvenN
 from .qring import (
     ONE,
     QPoly,
@@ -370,135 +373,105 @@ def q_double_sum(term, n: int) -> QRat:
 
 
 # ---------------------------------------------------------------------------
-# reduced verdict by local expansion at the roots of unity of [n]
+# reduced verdict at the roots of unity of [n]
 # ---------------------------------------------------------------------------
 
-# A local series stands for a polynomial N expanded at q = x(1 + t) and
-# truncated at t^r, with coefficients in Z[x]/(x^d - 1): a flat list whose
-# entry j*d + a is the coefficient of t^j x^a.  Reducing each t-coefficient
-# modulo Phi_d gives the expansion of N at zeta_d(1 + t), zeta_d a
-# primitive d-th root of unity, whose t-adic valuation is v_Phi_d(N)
-# because Phi_d has simple roots.
+# At q = x(1 + t) with x^d = 1, a binomial 1 - s*q^m has constant term
+# 1 - s*x^(m mod d) in Z[x]/(x^d - 1), literally 0 iff s = 1 and d | m; it
+# is then t times a series with constant term -m.  For odd d these are
+# the binomials that vanish at zeta_d(1 + t).  A product of binomials is
+# so t^c times a series whose constant term, its depth-1 image, is a
+# product of the integers -m and the 1 - s*x^(m mod d); q^e rotates it.
 
 
-def _series_mul(a: list, b: list, d: int, r: int) -> list:
-    """Product of two local series, truncated at t^r."""
-    out = [0] * (r * d)
-    for i in range(r):
-        row = [(u, c) for u, c in enumerate(a[i * d : (i + 1) * d]) if c]
-        if not row:
-            continue
-        for j in range(r - i):
-            base = (i + j) * d
-            for v, cv in enumerate(b[j * d : (j + 1) * d]):
-                if cv:
-                    for u, cu in row:
-                        out[base + (u + v) % d] += cu * cv
+def _rotate(a: list, e: int) -> list:
+    """a times x^e in Z[x]/(x^d - 1), d = len(a)."""
+    e %= len(a)
+    return a[-e:] + a[:-e]
+
+
+def _cyclic_mul(a, b, d: int) -> list:
+    """Product in Z[x]/(x^d - 1) of two coefficient lists of length at most d, length d."""
+    out = [0] * d
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[(i + j) % d] += ca * cb
     return out
 
 
-def _series_qpow(a: list, e: int, d: int, r: int) -> list:
-    """A local series times q^e: x^(e mod d) rotates, (1 + t)^e convolves in t."""
-    out = [0] * (r * d)
-    rot = e % d
-    binoms = [comb(e, j) for j in range(r)]
-    for i in range(r):
-        row = [((u + rot) % d, c) for u, c in enumerate(a[i * d : (i + 1) * d]) if c]
-        if not row:
-            continue
-        for j in range(i, r):
-            b = binoms[j - i]
-            if not b:
-                break
-            base = j * d
-            for u, cu in row:
-                out[base + u] += b * cu
-    return out
+@lru_cache(maxsize=None)
+def _local_images(family: str, n: int, d: int) -> tuple:
+    """Depth-1 images at d of the numerators M_k of the first n terms over D = _common_den_binomials(n).
 
-
-def _local_terms(family: str, n: int, d: int, r: int) -> list:
-    """Local series of the numerators M_k of the first n terms over D = _common_den_binomials(n).
-
-    M_k = sign * q^qpow * (numerator binomials) * (D / term denominator).
-    The binomials of each M_k are multiplied in along the shared chains
-    of _chain_products, each (1 - s*q^e) as a - s*q^e*a.
+    M_k = sign * q^qpow * (numerator binomials) * (D / term denominator)
+    is t^c_k times a series, c_k the number of its vanishing binomials.
+    Phi_d divides D m_d times, so c_k >= m_d, or DenominatorNotCoprime is
+    raised.  Image k is the t^m_d coefficient of M_k: the product of the
+    binomial images along the chains of _chain_products if c_k = m_d, ()
+    if c_k > m_d.  The single and the double sum share these images.
     """
-    terms = [_term_binomials(family, k) for k in range(n)]
-    full = _common_den_binomials(n)
-    mults = [Counter(num + full[len(den) :]) for _, _, num, den in terms]
+
+    def vanishes(binomial) -> bool:
+        s, m = binomial
+        return s == 1 and m % d == 0
 
     def times(a: list, binomial) -> list:
-        s, e = binomial
-        return [u - s * v for u, v in zip(a, _series_qpow(a, e, d, r))]
+        s, m = binomial
+        return [-m * c for c in a] if vanishes(binomial) else [u - s * v for u, v in zip(a, _rotate(a, m))]
 
-    one = [1] + [0] * (r * d - 1)
-    products = _chain_products(mults, one, times, lambda a, b: _series_mul(a, b, d, r))
-    out = []
-    for (sign, qpow, _, _), product in zip(terms, products):
-        m = _series_qpow(product, qpow, d, r)
-        out.append([-c for c in m] if sign < 0 else m)
-    return out
-
-
-def _local_sum(family: str, n: int, double: bool, d: int, r: int) -> list:
-    """Local series of the summed numerator N of _summed_numerator, never expanded."""
-    return _term_sum(_local_terms(family, n, d, r), lambda a, b: _series_mul(a, b, d, r), double)
-
-
-def _dense_local(num: list, d: int, r: int) -> list:
-    """Local series of a dense integer polynomial: t^j x^a collects c_e C(e, j) over e = a mod d."""
-    out = [0] * (r * d)
-    for e, c in enumerate(num):
-        if c:
-            for j in range(min(r, e + 1)):
-                out[j * d + e % d] += c * comb(e, j)
-    return out
+    full = _common_den_binomials(n)
+    m_d = _cyclotomic_multiplicities(full)[1][d]
+    terms = [_term_binomials(family, k) for k in range(n)]
+    mults = [Counter(num + full[len(den) :]) for _, _, num, den in terms]
+    depths = [sum(e for b, e in mult.items() if vanishes(b)) for mult in mults]
+    if min(depths) < m_d:
+        raise DenominatorNotCoprime(f"Phi_{d} is left in the reduced denominator and divides [{n}]")
+    keep = [k for k, c in enumerate(depths) if c == m_d]
+    products = _chain_products(
+        [mults[k] for k in keep], [1] + [0] * (d - 1), times, lambda a, b: _cyclic_mul(a, b, d)
+    )
+    images = [()] * n
+    for k, product in zip(keep, products):
+        sign, qpow = terms[k][:2]
+        images[k] = tuple(sign * c for c in _rotate(product, qpow))
+    return tuple(images)
 
 
-def _local_verdict(local, den_binomials: list, n: int) -> QPoly:
-    """Residue-like witness of N / D modulo [n], from the local series of N at each d | n.
+def _reduced_verdict(family: str, n: int, d: int, double: bool) -> list:
+    """Verdict at d | n, d > 1: zero iff Phi_d divides the summed numerator more than D does.
 
-    [n] is the squarefree product of Phi_d over d | n, d > 1, and the
-    rest of D = sign * prod Phi_d^m_d is coprime to it, so N / D = 0
-    (mod [n]) iff v_Phi_d(N) > m_d for every such d.  local(d, r) gives
-    the local series of N truncated at t^r; with r = m_d + 1 its first
-    m_d coefficients must vanish modulo Phi_d, or Phi_d survives in the
-    reduced denominator and DenominatorNotCoprime is raised, and its
-    last coefficient is the verdict.  Returns ZERO when every verdict
-    vanishes, otherwise the first nonzero one, a polynomial in q of
-    degree below phi(d); only its vanishing is meaningful.
+    As every c_k >= m_d, the t^m_d coefficient of the single sum is the
+    sum of the images, and the t^2m_d coefficient of the double sum over
+    D^2 is their pair sum; returned modulo Phi_d.
     """
-    mults = _cyclotomic_multiplicities(den_binomials)[1]
-    residue = ZERO
-    for d in _divisors(n)[1:]:
-        m = mults[d]
-        phi = cyclotomic(d).coeffs
-        series = local(d, m + 1)
-        coeffs = [_int_divmod_unit_lead(series[j * d : (j + 1) * d], phi)[1] for j in range(m + 1)]
-        if any(coeffs[:m]):
-            raise DenominatorNotCoprime(
-                f"Phi_{d} is left in the reduced denominator and divides [{n}]"
-            )
-        if coeffs[m] and residue.is_zero:
-            residue = QPoly._raw(coeffs[m])
-    return residue
+    images = _local_images(family, n, d)
+    total = _term_sum(images, lambda a, b: _cyclic_mul(a, b, d), double)
+    return _int_divmod_unit_lead(total, cyclotomic(d).coeffs)[1]
 
 
 def reduced_sum_residue(term, n: int, double: bool) -> QPoly:
-    """Witness modulo [n] of the single or double sum, by local expansion at each d | n.
+    """Witness modulo [n] of the single or double sum, from the verdict at each d | n.
 
-    Zero iff the sum is congruent to 0 modulo [n]; only its vanishing is
-    meaningful.  No numerator is expanded: each is built as a local
-    series from the term binomials.  A reduced denominator sharing a
-    factor with [n] raises DenominatorNotCoprime.
+    [n] is the squarefree product of Phi_d over d | n, d > 1, and the rest
+    of D is coprime to it, so the sum vanishes modulo [n] iff every
+    verdict does.  Returns ZERO then, otherwise the first nonzero verdict,
+    a polynomial in q of degree below phi(d); only its vanishing is
+    meaningful.  Even n raises EvenN: at even d, 1 + q^m also vanishes at
+    zeta_d, and the count of vanishing binomials would miss it.
     """
     if n < 1:
         raise ValueError(f"reduced_sum_residue needs n >= 1, got {n}")
+    if n % 2 == 0:
+        raise EvenN(f"the reduced verdict needs odd n, got {n}")
     family = _family_name(term)
-    den = _common_den_binomials(n)
-    return _local_verdict(
-        lambda d, r: _local_sum(family, n, double, d, r), den * 2 if double else den, n
-    )
+    residue = ZERO
+    for d in _divisors(n)[1:]:
+        coeffs = _reduced_verdict(family, n, d, double)
+        if coeffs and residue.is_zero:
+            residue = QPoly._raw(coeffs)
+    return residue
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Convolution sums and q-series terms against direct-summation oracles."""
 
+import contextlib
 import math
 import operator
 from collections import Counter
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcong.bigmath import is_odd_prime
-from qcong.errors import DenominatorNotCoprime
+from qcong.errors import DenominatorNotCoprime, EvenN
 from qcong.qring import (
     ONE,
     QPoly,
     QRat,
     _fold_list,
+    _int_divmod_unit_lead,
     _list_mul,
     _product_of_binomials,
     congruent_zero_mod_qint,
@@ -32,17 +34,16 @@ from qcong.sums import (
     _chain_products,
     _chain_split,
     _common_den_binomials,
+    _cyclic_mul,
     _cyclotomic_multiplicities,
-    _dense_local,
     _folded_terms,
-    _local_sum,
-    _local_terms,
-    _local_verdict,
+    _local_images,
     _mul_mod_qn,
     _reduced_term,
-    _series_mul,
-    _series_qpow,
+    _reduced_verdict,
+    _rotate,
     _summed_numerator,
+    _term_qrat,
     c_q_term,
     cp_q_term,
     double_sum,
@@ -115,9 +116,73 @@ def valuation_residue(num, den_binomials, n):
     return divrem(fold_mod_qn_minus_1(num, n), q_integer(n))[1]
 
 
+def dense_local(num, d, r):
+    """Local series at q = x(1 + t), x^d = 1, of a dense integer polynomial, truncated at t^r.
+
+    Entry j*d + a is the coefficient of t^j x^a: the sum of c_e C(e, j)
+    over the exponents e = a mod d.
+    """
+    out = [0] * (r * d)
+    for e, c in enumerate(num):
+        if c:
+            for j in range(min(r, e + 1)):
+                out[j * d + e % d] += c * math.comb(e, j)
+    return out
+
+
+def local_verdicts(num, den_binomials, n):
+    """Depth-(m_d + 1) reference verdicts {d: remainder} of a dense numerator N over D.
+
+    Phi_d divides D m_d times, so the first m_d local coefficients of N at
+    each d | n, d > 1, must vanish modulo Phi_d (DenominatorNotCoprime
+    otherwise), and the t^m_d coefficient modulo Phi_d is the verdict.
+    """
+    mults = _cyclotomic_multiplicities(den_binomials)[1]
+    out = {}
+    for d in range(2, n + 1):
+        if n % d:
+            continue
+        m, phi = mults[d], cyclotomic(d).coeffs
+        series = dense_local(list(num.coeffs), d, m + 1)
+        coeffs = [_int_divmod_unit_lead(series[j * d : (j + 1) * d], phi)[1] for j in range(m + 1)]
+        if any(coeffs[:m]):
+            raise DenominatorNotCoprime(f"Phi_{d}")
+        out[d] = coeffs[m]
+    return out
+
+
 def local_residue(num, den_binomials, n):
-    """The local verdict on a dense numerator given as a QPoly."""
-    return _local_verdict(lambda d, r: _dense_local(list(num.coeffs), d, r), den_binomials, n)
+    """The reference witness: the first nonzero verdict of local_verdicts, or zero."""
+    return next((QPoly(c) for c in local_verdicts(num, den_binomials, n).values() if c), QPoly())
+
+
+def sign_flips(n):
+    """Terms whose sign is flipped for the perturbed sums: the ends and the middle."""
+    return sorted({0, 1, n // 2, n - 1})
+
+
+@contextlib.contextmanager
+def patched_terms(patch):
+    """Both term families with the binomials of term k replaced by patch(sign, qpow, num, den, k).
+
+    Every term cache is cleared on entry and on exit.
+    """
+    real = sums._term_binomials
+    caches = (_reduced_term, _term_qrat, _folded_terms, _assembled_numerators, _local_images)
+    for cache in caches:
+        cache.cache_clear()
+    sums._term_binomials = lambda family, k: patch(*real(family, k), k)
+    try:
+        yield
+    finally:
+        sums._term_binomials = real
+        for cache in caches:
+            cache.cache_clear()
+
+
+def sign_flipped(flip):
+    """Both term families with term `flip` negated."""
+    return patched_terms(lambda sign, qpow, num, den, k: (-sign if k == flip else sign, qpow, num, den))
 
 
 # --- integer convolution sums ---------------------------------------------------
@@ -389,16 +454,107 @@ def test_local_verdict_matches_trial_division_oracle(family, term, double):
         residue = reduced_sum_residue(term, n, double)
         assert residue.is_zero == valuation_residue(QPoly(num), den, n).is_zero, n
         assert residue == local_residue(QPoly(num), den, n), n
-        # q -> x(1 + t) is a ring map, so the series built from the term
-        # binomials equals the one read off the expanded numerator; two
-        # coefficients past the verdict, where a holding sum's series
-        # no longer vanishes
+        # the reference series is not vacuous: two coefficients past the
+        # verdict a holding sum's series no longer vanishes
         mults = _cyclotomic_multiplicities(den)[1]
         for d in range(2, n + 1):
             if n % d == 0:
-                r = mults[d] + 3
-                series = _local_sum(family, n, double, d, r)
-                assert any(series[-d:]) and series == _dense_local(num, d, r), (n, d)
+                assert any(dense_local(num, d, mults[d] + 3)[-d:]), (n, d)
+
+
+@pytest.mark.parametrize("family", ["c", "cp"])
+def test_local_images_are_the_leading_local_coefficients(family):
+    # q -> x(1 + t) is a ring map, so each numerator M_k expanded at full
+    # degree has c_k >= m_d literally vanishing local coefficients, and its
+    # t^m_d coefficient is image k: () exactly when c_k > m_d
+    for n in range(3, 16, 2):
+        den = _common_den_binomials(n)
+        mults = _cyclotomic_multiplicities(den)[1]
+        for d in range(2, n + 1):
+            if n % d:
+                continue
+            m, images = mults[d], _local_images(family, n, d)
+            assert any(images), (n, d)
+            for k, num in enumerate(_assembled_numerators(family, n)):
+                image = list(images[k]) or [0] * d
+                assert dense_local(num, d, m + 1) == [0] * (m * d) + image, (n, d, k)
+
+
+@pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
+@pytest.mark.parametrize("double", [False, True])
+def test_reduced_verdict_matches_oracle_on_sign_flips(family, term, double):
+    # one term's sign flipped breaks the sum at most divisors; each per-d
+    # verdict must still equal the reference one, zero or not; the
+    # reference flips the expanded numerator, the pipeline its binomials
+    cases = failing = 0
+    for n in range(3, 22, 2):
+        ms = [list(m) for m in _assembled_numerators(family, n)]
+        den = _common_den_binomials(n) * (2 if double else 1)
+        for flip in sign_flips(n):
+            items = [[-c for c in m] if k == flip else m for k, m in enumerate(ms)]
+            num = QPoly(sums._term_sum(items, _list_mul, double))
+            expected = local_verdicts(num, den, n)
+            with sign_flipped(flip):
+                assert {d: _reduced_verdict(family, n, d, double) for d in expected} == expected
+                assert reduced_sum_residue(term, n, double) == local_residue(num, den, n)
+            cases += len(expected)
+            failing += sum(map(bool, expected.values()))
+    assert failing > cases / 2, (failing, cases)
+
+
+@pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
+@pytest.mark.parametrize("double", [False, True])
+def test_folded_and_reduced_verdicts_agree_per_divisor_on_sign_flips(family, term, double):
+    # a negative control across the two pipelines: for every d | n the
+    # folded residue vanishes modulo Phi_d iff the reduced verdict at d does
+    fold = folded_double_sum_residue if double else folded_single_sum_residue
+    cases = failing = 0
+    for n in range(3, 22, 2):
+        for flip in sign_flips(n):
+            with sign_flipped(flip):
+                residue = fold(term, n)
+                for d in range(2, n + 1):
+                    if n % d == 0:
+                        folded = divrem(residue, cyclotomic(d))[1].is_zero
+                        assert folded == (not _reduced_verdict(family, n, d, double)), (n, flip, d)
+                        cases += 1
+                        failing += not folded
+    assert failing > cases / 2, (failing, cases)
+
+
+@pytest.mark.parametrize("term", [c_q_term, cp_q_term])
+def test_pipelines_refuse_a_term_denominator_sharing_a_factor_with_q_integer(term):
+    # term 0 made (1 - q) / D_9: Phi_3 divides D_9 twice and M_0 = 1 - q
+    # not at all, so c_0 = 0 < m_3 = 2 and Phi_3 stays in the denominator
+    wide = _common_den_binomials(9)
+    with patched_terms(lambda sign, qpow, num, den, k: (sign, qpow, num, wide if k == 0 else den)):
+        for double in (False, True):
+            with pytest.raises(DenominatorNotCoprime):
+                reduced_sum_residue(term, 9, double)
+        with pytest.raises(DenominatorNotCoprime):
+            folded_single_sum_residue(term, 9)
+
+
+def test_reduced_verdict_refuses_even_n():
+    # at even d a binomial 1 + q^m vanishes at zeta_d too, which the count
+    # of vanishing binomials misses, so even n is refused as the checks do
+    for n in (2, 4, 6, 10):
+        for double in (False, True):
+            with pytest.raises(EvenN):
+                reduced_sum_residue(c_q_term, n, double)
+            with pytest.raises(EvenN):
+                congruence.check_eq1(n, method="reduced")
+
+
+def test_single_and_double_sums_share_one_build_per_divisor():
+    # eq1 then eq3 at one n build each (family, n, d) image tuple once
+    n = 45
+    _local_images.cache_clear()
+    congruence.check_eq1(n, method="reduced")
+    divisors = sum(1 for d in range(2, n + 1) if n % d == 0)
+    assert _local_images.cache_info()[:2] == (0, divisors)
+    congruence.check_eq3(n, method="reduced")
+    assert _local_images.cache_info()[:2] == (divisors, divisors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -406,17 +562,17 @@ def test_local_verdict_matches_trial_division_oracle(family, term, double):
     st.lists(st.integers(-9, 9), max_size=12),
     st.lists(st.integers(-9, 9), max_size=12),
     st.integers(1, 7),
-    st.integers(1, 5),
     st.integers(0, 30),
 )
-def test_local_series_kernels_are_ring_maps(a, b, d, r, e):
-    # q -> x(1 + t) is a ring map, so the kernels on local series agree
-    # with the same product or shift taken on the polynomials
-    def local(p):
-        return _dense_local(p, d, r)
+def test_local_series_kernels_are_ring_maps(a, b, d, e):
+    # q -> x with x^d = 1 is a ring map, so the depth-1 kernels agree with
+    # the same product or shift taken on the polynomials and then folded
+    def image(p):
+        folded = _fold_list(p, d)
+        return folded + [0] * (d - len(folded))
 
-    assert _series_mul(local(a), local(b), d, r) == local(_list_mul(a, b))
-    assert _series_qpow(local(a), e, d, r) == local([0] * e + a)
+    assert _cyclic_mul(image(a), image(b), d) == image(_list_mul(a, b))
+    assert _rotate(image(a), e) == image([0] * e + a)
 
 
 @pytest.mark.parametrize("family", ["c", "cp"])
@@ -441,24 +597,20 @@ def test_valuation_verdict_negative_control(family, n):
 @pytest.mark.parametrize("n,depths", [
     (15, {3: 4, 5: 2}), (21, {3: 6, 7: 2}), (25, {5: 4}), (45, {3: 14, 5: 8, 9: 4, 15: 2}),
 ])
-def test_local_verdict_negative_control_at_depth(family, n, depths):
+def test_local_verdict_negative_control_at_depth(monkeypatch, family, n, depths):
     # composite n where Phi_d divides D to a power m_d > 0, so the verdict
     # is read at t^m_d (single) or t^2m_d (double), not at t^0
     den = _common_den_binomials(n)
     mults = _cyclotomic_multiplicities(den)[1]
     assert {d: mults[d] for d in range(2, n) if n % d == 0} == depths
-
-    def dropped(double):
-        def local(d, r):
-            first = _local_terms(family, n, d, r)[0]
-            if double:
-                first = _series_mul(first, first, d, r)
-            return [a - b for a, b in zip(_local_sum(family, n, double, d, r), first)]
-        return local
-
-    # dropping the k = 0 term, or the (0, 0) pair, breaks the congruence
-    assert not _local_verdict(dropped(False), den, n).is_zero
-    assert not _local_verdict(dropped(True), den * 2, n).is_zero
+    # term 0 is 1, so M_0 = D / (1 - q) has c_0 = m_d at every d > 1 and
+    # a nonzero image; dropping it breaks the single sum at every d, and
+    # the double sum too: the pairs with term 0 add up to 2 t(0) times the
+    # single sum, minus t(0)^2, so they leave -t(0)^2 = -1 at every d
+    real = _local_images
+    monkeypatch.setattr(sums, "_local_images", lambda f, m, d: ((),) + real(f, m, d)[1:])
+    for double in (False, True):
+        assert all(_reduced_verdict(family, n, d, double) for d in range(2, n + 1) if n % d == 0)
 
 
 def test_valuation_verdict_refuses_shared_denominator_factor():
@@ -651,18 +803,20 @@ def test_folded_terms_share_their_products(monkeypatch):
 
 
 def test_local_terms_share_their_products(monkeypatch):
-    # one local multiply per binomial would be sum_k |m_k| _series_qpow calls,
-    # m_k the numerator binomials of term k and the cofactor D / its denominator
-    n = 45
-    full = Counter(_common_den_binomials(n))
-    real = sums._series_qpow
+    # one depth-1 multiply per binomial would be sum_k |m_k| calls of times,
+    # m_k the numerator binomials of the built term k and the cofactor
+    # D / its denominator; the chains multiply in far fewer
+    n, d = 45, 3
+    real = sums._chain_products
     for family in ("c", "cp"):
-        calls = []
-        monkeypatch.setattr(sums, "_series_qpow", lambda *args: calls.append(1) or real(*args))
-        _local_terms(family, n, 3, 2)
+        calls, built = [], []
+
+        def spy(mults, one, times, mul):
+            built.extend(mults)
+            return real(mults, one, lambda a, f: calls.append(f) or times(a, f), mul)
+
+        monkeypatch.setattr(sums, "_chain_products", spy)
+        _local_images.__wrapped__(family, n, d)
         monkeypatch.undo()
-        factors = sum(
-            sum((Counter(num) + (full - Counter(den))).values())
-            for _, _, num, den in (sums._term_binomials(family, k) for k in range(n))
-        )
-        assert 0 < len(calls) < factors / 10, family
+        assert len(built) == sum(map(bool, _local_images(family, n, d))), family
+        assert 0 < len(calls) < sum(sum(m.values()) for m in built) / 10, family
