@@ -8,7 +8,9 @@ Each claim is one table entry, in claim order: an identity's first
 instance and its two sides, or a congruence's instances up to --limit.
 Records stream as each instance completes, in claim then instance
 order whatever the --id order or --jobs; a repeated --id runs once.
-One record per instance; json output is newline-delimited.  Exit codes:
+One record per instance; json output is newline-delimited.  The process
+pool, and the multiprocessing modules under it, load only when more than
+one worker runs, so a --jobs 1 scan starts without them.  Exit codes:
 0 when every checked instance holds, 1 when any fails, 2 on usage
 errors (an --out that cannot be opened among them), 3 on an internal
 inconsistency (records already written stay), 141 when the reader
@@ -26,7 +28,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import closedform, congruence, sums
@@ -66,7 +67,10 @@ def _fmt(value) -> str:
 
 
 def _record(claim: str, instance: int, holds: bool, lhs, rhs, modulus: str, ms: int) -> dict:
-    return dict(zip(FIELDS, (claim, instance, holds, _fmt(lhs), _fmt(rhs), modulus, ms)))
+    # equal values print the same text, so an identity's rhs is rendered only when it differs
+    lhs_text = _fmt(lhs)
+    rhs_text = lhs_text if lhs == rhs else _fmt(rhs)
+    return dict(zip(FIELDS, (claim, instance, holds, lhs_text, rhs_text, modulus, ms)))
 
 
 def _identity_instance(args: tuple[str, int]) -> dict:
@@ -101,6 +105,9 @@ def _run(worker, instances: list, jobs: int):
     if workers <= 1:
         yield from map(worker, instances)
     else:
+        # imported here, so a one-worker scan never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(instances) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(worker, instances, chunksize=chunk)

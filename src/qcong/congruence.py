@@ -50,13 +50,12 @@ inverse of the denominator, which must be coprime to m.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigmath import is_odd_prime, rational_mod
 from .closedform import special_q_neg_half, special_q_one
 from .errors import EvenN, NotOddPrime
-from .qring import ZERO
+from .qring import ZERO, _Frozen
 from .sums import (
     c_q_term,
     cp_q_term,
@@ -67,17 +66,21 @@ from .sums import (
 )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(_Frozen):
     """Outcome of one congruence instance; holds iff the residues agree."""
 
-    claim_id: str
-    instance: int
-    holds: bool
-    lhs_residue: object
-    rhs_residue: object
-    modulus_description: str
-    elapsed_ms: int
+    __slots__ = ("claim_id", "instance", "holds", "lhs_residue", "rhs_residue",
+                 "modulus_description", "elapsed_ms")
+
+    def __init__(self, claim_id: str, instance: int, holds: bool, lhs_residue, rhs_residue,
+                 modulus_description: str, elapsed_ms: int):
+        object.__setattr__(self, "claim_id", claim_id)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "lhs_residue", lhs_residue)
+        object.__setattr__(self, "rhs_residue", rhs_residue)
+        object.__setattr__(self, "modulus_description", modulus_description)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
 def _require_odd_prime(p: int) -> None:

@@ -17,7 +17,6 @@ the denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -55,16 +54,18 @@ def _divisors(n: int) -> list[int]:
     return small + large
 
 
-def _binomial_cyclotomic_indices(sign: int, m: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _binomial_cyclotomic_indices(sign: int, m: int) -> tuple[int, ...]:
     """Cyclotomic indices d with Phi_d dividing (1 - sign*q^m), m >= 1.
 
     1 - q^m is the product of Phi_d over d | m; 1 + q^m = (1 - q^{2m}) /
     (1 - q^m) collects the d dividing 2m but not m.  Both products are
-    squarefree, so every listed index has multiplicity one.
+    squarefree, so every listed index has multiplicity one.  Cached, so a
+    tuple: every caller gets the same value.
     """
     if sign == 1:
-        return _divisors(m)
-    return [d for d in _divisors(2 * m) if m % d]
+        return tuple(_divisors(m))
+    return tuple(d for d in _divisors(2 * m) if m % d)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +573,50 @@ def _as_qrat(x):
     return NotImplemented
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _Frozen:
+    """Immutable record: fields in __slots__ order, compared and hashed by value.
+
+    Each subclass assigns its fields once in its own __init__, through
+    object.__setattr__ (a generic *args/**kwargs constructor is about
+    twice as slow), and is no tuple, so no caller mistakes it for one.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Verdict(_Frozen):
     """Outcome of one divisibility check; holds is true iff residue is zero."""
 
-    holds: bool
-    modulus: object
-    residue: object
+    __slots__ = ("holds", "modulus", "residue")
+
+    def __init__(self, holds: bool, modulus, residue):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residue", residue)
 
 
 def congruent_zero_mod_qint(f, n: int) -> Verdict:

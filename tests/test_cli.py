@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, formats, round-trips, parallel determinism."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -128,7 +129,8 @@ class _InProcessPool:
 )
 def test_jobs_are_bounded_by_cpus_and_instances(capsys, monkeypatch, jobs, cpus, expected):
     # eq12 at --max-n 5 has six instances, k = 0..5
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    # cli imports the pool when it runs one, so the patch goes where that import reads it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out = run_cli(capsys, "verify", "identity", "--id", "eq12", "--max-n", "5",
@@ -303,6 +305,38 @@ def test_closed_stdout_exits_141_quietly(jobs):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_import_loads_no_pool_and_no_dataclasses():
+    # a --jobs 1 scan pays only for what it runs; python -S keeps site-packages out
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, qcong.cli; print(*[m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("argv", [("identity", "--max-n", "40"), ("congruence", "--limit", "31")])
+def test_record_renders_each_side_as_formatted(capsys, monkeypatch, argv):
+    # rhs reuses lhs's text when the values are equal; that text must be rhs's own
+    real = cli._record
+    seen = []
+
+    def checked(claim, instance, holds, lhs, rhs, modulus, ms):
+        record = real(claim, instance, holds, lhs, rhs, modulus, ms)
+        assert (record["lhs"], record["rhs"]) == (cli._fmt(lhs), cli._fmt(rhs)), (claim, instance)
+        seen.append(claim)
+        return record
+
+    monkeypatch.setattr(cli, "_record", checked)
+    code, out = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert len(seen) == len(out.splitlines()) > 0
+    assert set(seen) == set(IDENTITY_IDS if argv[0] == "identity" else cli.CONGRUENCE_IDS)
 
 
 # claim -> (module, attribute) of the source of its left-hand side

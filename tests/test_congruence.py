@@ -1,5 +1,6 @@
 """The eight congruence claims: frozen residues, consistency, and path agreement."""
 
+import pickle
 import time
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from qcong.bigmath import odd_primes_up_to, rational_mod
 from qcong.congruence import (
+    CongruenceReport,
     _prime_power_report,
     check_eq1,
     check_eq2,
@@ -18,6 +20,7 @@ from qcong.congruence import (
     check_eq8,
 )
 from qcong.errors import EvenN, NotOddPrime
+from qcong.qring import Verdict
 from qcong.sums import double_sum
 
 
@@ -149,3 +152,42 @@ def test_q_congruences_composite_scan():
             assert check(n, method="reduced").holds, (check.__name__, n, "reduced")
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"composite q-congruence scan took {elapsed:.2f}s (budget 60s)"
+
+
+_RECORDS = [
+    (Verdict, ("holds", "modulus", "residue"), (False, 9, 4)),
+    (CongruenceReport,
+     ("claim_id", "instance", "holds", "lhs_residue", "rhs_residue", "modulus_description",
+      "elapsed_ms"),
+     ("eq5", 7, True, 0, 0, "p = 7", 3)),
+]
+
+
+@pytest.mark.parametrize("cls,fields,values", _RECORDS)
+def test_record_classes_behave_as_frozen_dataclasses(cls, fields, values):
+    r = cls(*values)
+    assert tuple(getattr(r, f) for f in fields) == values
+    assert cls(**dict(zip(fields, values))) == r
+    # a tuple would read as a (claim, n) failure marker to callers that sort records by type
+    assert not isinstance(r, tuple)
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+    with pytest.raises(AttributeError):
+        del r.holds
+    assert getattr(r, fields[0]) == values[0]
+
+    class Sub(cls):
+        pass
+
+    # equal and hashed by field values, between instances of one class only
+    assert r == cls(*values) and hash(r) == hash(cls(*values)) == hash(values)
+    assert r != cls(*(not v if f == "holds" else v for f, v in zip(fields, values)))
+    assert r != Sub(*values) and r != values
+    args = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+    assert repr(r) == f"{cls.__name__}({args})"
+    assert pickle.loads(pickle.dumps(r)) == r
