@@ -67,9 +67,9 @@ def _fmt(value) -> str:
 
 
 def _record(claim: str, instance: int, holds: bool, lhs, rhs, modulus: str, ms: int) -> dict:
-    # equal values print the same text, so an identity's rhs is rendered only when it differs
+    # holds is lhs == rhs for every claim, and equal values print the same text
     lhs_text = _fmt(lhs)
-    rhs_text = lhs_text if lhs == rhs else _fmt(rhs)
+    rhs_text = lhs_text if holds else _fmt(rhs)
     return dict(zip(FIELDS, (claim, instance, holds, lhs_text, rhs_text, modulus, ms)))
 
 

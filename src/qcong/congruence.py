@@ -19,18 +19,19 @@ Each check can run through two pipelines, and the verdicts must agree:
 The two build the sum from different data: the folded path from the
 term exponents, never expanding a binomial product or dividing by a
 cyclotomic; the reduced path from the term binomials, each read at
-depth 1 at the roots of unity of [n], and the factorization of the
-binomial common denominator, never folding modulo q^n - 1 or reading a
-term exponent: each c_k counts the binomials whose own local series has
-a vanishing constant term.  They share the division kernel, the cyclotomic
-factorization (with its sign) of a product of binomials, and two plans,
-each path multiplying in its own ring: the chains that build every term
-numerator from shared prefix and suffix products
-(sums._chain_products), and the prefix sums that turn a double sum into
-n products (sums._term_sum), which pair-sum oracles check on each path.
-Chain-free oracles check each path's numerators: the folded images
-against full products of cyclotomic powers folded (_fold_list), the
-depth-1 images against the local series of the expanded numerators
+depth 1 at the roots of unity of [n], never folding modulo q^n - 1,
+reading a term exponent or factoring a binomial: m_d and each c_k count
+the binomials whose own local series has a vanishing constant term.
+They share the division kernel, the product kernel in Z[x]/(x^d - 1)
+(sums._cyclic_mul, followed on the folded path by a reduction modulo
+[n]), and two plans: the chains that build every term numerator from
+shared prefix and suffix products (sums._chain_products), and the
+prefix sums that turn a double sum into n products (sums._term_sum),
+which pair-sum oracles check on each path.  The product kernel is
+tested against schoolbook products folded, and oracles that never call
+it check each path's numerators: the folded images against full
+products of cyclotomic powers folded (_fold_list) and divided by [n],
+the depth-1 images against the local series of the expanded numerators
 (_assembled_numerators and a depth-r series in the tests).  An error in
 how either path builds, cancels or combines terms therefore shows as a
 disagreement or an oracle failure instead of being repeated by the

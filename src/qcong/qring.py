@@ -193,6 +193,9 @@ class QPoly:
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
+    def __reduce__(self):
+        return QPoly._raw, (self.coeffs,)
+
     @classmethod
     def _raw(cls, cs) -> "QPoly":
         """Wrap an already trimmed/normalized coefficient list (internal)."""
@@ -467,6 +470,9 @@ class QRat:
 
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")
+
+    def __reduce__(self):
+        return QRat._from_reduced, (self.num, self.den)
 
     def _set(self, num: QPoly, den: QPoly) -> "QRat":
         """Store coprime parts in canonical form: zero as 0/1, the denominator monic."""

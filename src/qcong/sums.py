@@ -40,7 +40,9 @@ summed images already are the residue.  On both pipelines the term
 numerators share most of their factors, binomials or cyclotomics, so one
 plan, _chain_products, builds each from a prefix and a suffix chain,
 each grown by its increments, and a few factors of its own, in the
-pipeline's own ring.
+pipeline's own ring, with one product kernel in Z[x]/(x^d - 1),
+_cyclic_mul.  Each pipeline's images are checked against an oracle that
+never calls it, so the two verdicts stay independent checks.
 """
 
 from __future__ import annotations
@@ -391,13 +393,27 @@ def _rotate(a: list, e: int) -> list:
 
 
 def _cyclic_mul(a, b, d: int) -> list:
-    """Product in Z[x]/(x^d - 1) of two coefficient lists of length at most d, length d."""
+    """Product in Z[x]/(x^d - 1) of two coefficient lists of length at most d, length d.
+
+    The one product kernel of both q-congruence pipelines: for each
+    nonzero a_i of the sparser operand the other, rotated by i (a slice
+    of it written out twice), is added in a_i times; most coefficients
+    are +-1, which add or subtract the rotation as it is.
+    """
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
+    b = list(b) + [0] * (d - len(b))
+    b += b
     out = [0] * d
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[(i + j) % d] += ca * cb
+    for i, c in enumerate(a):
+        if c:
+            rot = b[d - i : 2 * d - i]
+            if c == 1:
+                out = list(map(add, out, rot))
+            elif c == -1:
+                out = list(map(sub, out, rot))
+            else:
+                out = [o + c * x for o, x in zip(out, rot)]
     return out
 
 
@@ -422,7 +438,7 @@ def _local_images(family: str, n: int, d: int) -> tuple:
         return [-m * c for c in a] if vanishes(binomial) else [u - s * v for u, v in zip(a, _rotate(a, m))]
 
     full = _common_den_binomials(n)
-    m_d = _cyclotomic_multiplicities(full)[1][d]
+    m_d = sum(map(vanishes, full))
     terms = [_term_binomials(family, k) for k in range(n)]
     mults = [Counter(num + full[len(den) :]) for _, _, num, den in terms]
     depths = [sum(e for b, e in mult.items() if vanishes(b)) for mult in mults]
@@ -484,39 +500,13 @@ def _mod_qint(cs: list, n: int) -> list:
 
     q^(n-1) = -(1 + q + ... + q^(n-2)) modulo [n], so the top
     coefficient is subtracted from the others; at n = 1 nothing is left.
+    [n] divides q^n - 1, so a product taken by _cyclic_mul modulo q^n - 1
+    and passed here once is the product modulo [n].
     """
     top = cs.pop()
     if top:
         cs = [c - top for c in cs]
     return _trim(cs)
-
-
-def _mul_mod_qn(a: list, b: list, n: int) -> list:
-    """Product modulo [n] of two coefficient lists of length at most n, trimmed.
-
-    The product is written directly at the exponents (i + j) mod n, that
-    is modulo q^n - 1, with no intermediate of degree 2n - 2 to fold: for
-    each nonzero a_i of the sparser operand, the other operand rotated by
-    i (a slice of it written out twice) is added in a_i times.
-    Cyclotomic coefficients are mostly +-1, which add or subtract the
-    rotation as it is.  [n] divides q^n - 1, so one pass of _mod_qint
-    then leaves the product modulo [n], of degree below n - 1.
-    """
-    if len(a) - a.count(0) > len(b) - b.count(0):
-        a, b = b, a
-    b = list(b) + [0] * (n - len(b))
-    b += b
-    out = [0] * n
-    for i, c in enumerate(a):
-        if c:
-            rot = b[n - i : 2 * n - i]
-            if c == 1:
-                out = list(map(add, out, rot))
-            elif c == -1:
-                out = list(map(sub, out, rot))
-            else:
-                out = [o + c * x for o, x in zip(out, rot)]
-    return _mod_qint(out, n)
 
 
 @lru_cache(maxsize=None)
@@ -552,19 +542,19 @@ def _folded_terms(family: str, n: int) -> tuple:
     mults = []
     for _, _, exps in terms:
         mult = common.copy()
-        for d, e in exps:
-            mult[d] += e
+        mult.update(dict(exps))
         mults.append(mult)
     phis = {d: _fold_list(cyclotomic(d).coeffs, n) for d in set().union(*mults)}
     products = _chain_products(
-        mults, [1], lambda a, d: _mul_mod_qn(a, phis[d], n), lambda a, b: _mul_mod_qn(a, b, n)
+        mults,
+        [1],
+        lambda a, d: _mod_qint(_cyclic_mul(a, phis[d], n), n),
+        lambda a, b: _mod_qint(_cyclic_mul(a, b, n), n),
     )
     images = []
     for (sign, qpow, _), product in zip(terms, products):
-        image = [0] * n
-        for e, c in enumerate(product):
-            image[(e + qpow) % n] = sign * c
-        images.append(tuple(_mod_qint(image, n)))
+        image = _rotate(product + [0] * (n - len(product)), qpow)
+        images.append(tuple(_mod_qint([sign * c for c in image], n)))
     return tuple(images)
 
 
@@ -592,4 +582,5 @@ def folded_double_sum_residue(term, n: int) -> QPoly:
     if n < 1:
         raise ValueError(f"folded_double_sum_residue needs n >= 1, got {n}")
     images = _folded_terms(_family_name(term), n)
-    return QPoly._raw(_trim(_term_sum(images, lambda a, b: _mul_mod_qn(a, b, n), double=True)))
+    total = _term_sum(images, lambda a, b: _mod_qint(_cyclic_mul(a, b, n), n), double=True)
+    return QPoly._raw(_trim(total))

@@ -1,5 +1,6 @@
 """The eight congruence claims: frozen residues, consistency, and path agreement."""
 
+import copy
 import pickle
 import time
 from fractions import Fraction
@@ -20,7 +21,7 @@ from qcong.congruence import (
     check_eq8,
 )
 from qcong.errors import EvenN, NotOddPrime
-from qcong.qring import Verdict
+from qcong.qring import QPoly, QRat, Verdict, congruent_zero_mod_qint
 from qcong.sums import double_sum
 
 
@@ -191,3 +192,16 @@ def test_record_classes_behave_as_frozen_dataclasses(cls, fields, values):
     args = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
     assert repr(r) == f"{cls.__name__}({args})"
     assert pickle.loads(pickle.dumps(r)) == r
+
+
+@pytest.mark.parametrize("value", [
+    QPoly([1, 2]),
+    QRat(QPoly([1, 2]), QPoly([3, 0, 1])),
+    congruent_zero_mod_qint(QPoly([1, 2]), 3),
+    check_eq1(5),
+], ids=["qpoly", "qrat", "verdict", "report"])
+def test_values_survive_pickle_and_copy(value):
+    # immutable values cross process boundaries and are copied whole
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value
+        assert hash(clone) == hash(value)

@@ -38,7 +38,7 @@ from qcong.sums import (
     _cyclotomic_multiplicities,
     _folded_terms,
     _local_images,
-    _mul_mod_qn,
+    _mod_qint,
     _reduced_term,
     _reduced_verdict,
     _rotate,
@@ -178,6 +178,20 @@ def patched_terms(patch):
         sums._term_binomials = real
         for cache in caches:
             cache.cache_clear()
+
+
+@contextlib.contextmanager
+def without_shared_kernel():
+    """sums._cyclic_mul made to fail, so an oracle run inside shows it never multiplies with it."""
+
+    def refuse(a, b, d):
+        raise AssertionError("an oracle called the shared product kernel")
+
+    real, sums._cyclic_mul = sums._cyclic_mul, refuse
+    try:
+        yield
+    finally:
+        sums._cyclic_mul = real
 
 
 def sign_flipped(flip):
@@ -470,14 +484,16 @@ def test_local_images_are_the_leading_local_coefficients(family):
     for n in range(3, 16, 2):
         den = _common_den_binomials(n)
         mults = _cyclotomic_multiplicities(den)[1]
+        _assembled_numerators.cache_clear()
         for d in range(2, n + 1):
             if n % d:
                 continue
             m, images = mults[d], _local_images(family, n, d)
             assert any(images), (n, d)
-            for k, num in enumerate(_assembled_numerators(family, n)):
-                image = list(images[k]) or [0] * d
-                assert dense_local(num, d, m + 1) == [0] * (m * d) + image, (n, d, k)
+            with without_shared_kernel():
+                series = [dense_local(num, d, m + 1) for num in _assembled_numerators(family, n)]
+            for k, image in enumerate(images):
+                assert series[k] == [0] * (m * d) + (list(image) or [0] * d), (n, d, k)
 
 
 @pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
@@ -492,8 +508,9 @@ def test_reduced_verdict_matches_oracle_on_sign_flips(family, term, double):
         den = _common_den_binomials(n) * (2 if double else 1)
         for flip in sign_flips(n):
             items = [[-c for c in m] if k == flip else m for k, m in enumerate(ms)]
-            num = QPoly(sums._term_sum(items, _list_mul, double))
-            expected = local_verdicts(num, den, n)
+            with without_shared_kernel():
+                num = QPoly(sums._term_sum(items, _list_mul, double))
+                expected = local_verdicts(num, den, n)
             with sign_flipped(flip):
                 assert {d: _reduced_verdict(family, n, d, double) for d in expected} == expected
                 assert reduced_sum_residue(term, n, double) == local_residue(num, den, n)
@@ -557,20 +574,34 @@ def test_single_and_double_sums_share_one_build_per_divisor():
     assert _local_images.cache_info()[:2] == (divisors, divisors)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.integers(-9, 9), max_size=12),
-    st.lists(st.integers(-9, 9), max_size=12),
-    st.integers(1, 7),
-    st.integers(0, 30),
-)
-def test_local_series_kernels_are_ring_maps(a, b, d, e):
-    # q -> x with x^d = 1 is a ring map, so the depth-1 kernels agree with
+@st.composite
+def cyclic_operands(draw):
+    # operands of length up to d, empty to dense; 0 and +-1 often, so the
+    # +1, -1 and generic branches and the swap to the sparser side all run
+    d = draw(st.integers(1, 31))
+    operand = st.lists(st.sampled_from([0, 1, -1]) | st.integers(-60, 60), max_size=d)
+    return draw(operand), draw(operand), d, draw(st.integers(0, 3 * d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_operands())
+@example(([], [], 1, 0))
+@example(([], [4, -1, 0, 2], 5, 3))
+@example(([1] * 31, [2, -1] * 15 + [7], 31, 40))
+@example(([0, 0, 3], [1, -1, 1, -1, 5], 5, 1))
+@example(([-1, 1, 2], [5], 3, 2))
+def test_local_series_kernels_are_ring_maps(operands):
+    # q -> x with x^d = 1 is a ring map, so the shared kernels agree with
     # the same product or shift taken on the polynomials and then folded
+    a, b, d, e = operands
+
     def image(p):
         folded = _fold_list(p, d)
         return folded + [0] * (d - len(folded))
 
+    before = (list(a), list(b))
+    assert _cyclic_mul(a, b, d) == image(_list_mul(a, b))
+    assert (a, b) == before
     assert _cyclic_mul(image(a), image(b), d) == image(_list_mul(a, b))
     assert _rotate(image(a), e) == image([0] * e + a)
 
@@ -694,9 +725,11 @@ def test_folded_images_match_full_degree_products(family):
     for n in range(1, 22, 2):
         images = _folded_terms(family, n)
         for k, (sign, qpow, m) in enumerate(_image_exponents(family, n)):
-            product = math.prod((cyclotomic(d) ** e for d, e in m.items()), start=ONE)
-            full = [0] * qpow + [sign * c for c in product]
-            assert images[k] == _mod_qint_oracle(_fold_list(full, n), n), (family, n, k)
+            with without_shared_kernel():
+                product = math.prod((cyclotomic(d) ** e for d, e in m.items()), start=ONE)
+                full = [0] * qpow + [sign * c for c in product]
+                expected = _mod_qint_oracle(_fold_list(full, n), n)
+            assert images[k] == expected, (family, n, k)
 
 
 exponent_vectors = st.integers(1, 4).flatmap(
@@ -722,7 +755,10 @@ def test_chain_split_and_products(rows, n):
     # cyclotomic factors multiplied modulo [n], as the folded pipeline does
     phis = {d: _fold_list(cyclotomic(d).coeffs, n) for d in range(1, len(rows[0]) + 1)}
     chained = _chain_products(
-        mults, [1], lambda a, d: _mul_mod_qn(a, phis[d], n), lambda a, b: _mul_mod_qn(a, b, n)
+        mults,
+        [1],
+        lambda a, d: _mod_qint(_cyclic_mul(a, phis[d], n), n),
+        lambda a, b: _mod_qint(_cyclic_mul(a, b, n), n),
     )
     direct = [
         _mod_qint_oracle(_fold_list(math.prod((cyclotomic(d) ** e for d, e in m.items()), start=ONE), n), n)
@@ -752,7 +788,7 @@ def operands_mod_qint(draw):
 @example(([1, 1, 1, 1, 1, 1, 1], [0, 1], 7))
 def test_mul_mod_qn_is_the_product_modulo_q_integer(operands):
     a, b, n = operands
-    assert tuple(_mul_mod_qn(list(a), list(b), n)) == _mod_qint_oracle(_list_mul(a, b), n)
+    assert tuple(_mod_qint(_cyclic_mul(a, b, n), n)) == _mod_qint_oracle(_list_mul(a, b), n)
 
 
 @pytest.mark.parametrize("family", ["c", "cp"])
@@ -793,8 +829,8 @@ def test_failing_folded_residue_is_the_full_degree_remainder(monkeypatch, family
 def test_folded_terms_share_their_products(monkeypatch):
     # one multiply per cyclotomic factor would be sum_k sum_d m_k(d) products
     n, calls = 45, []
-    real = sums._mul_mod_qn
-    monkeypatch.setattr(sums, "_mul_mod_qn", lambda a, b, m: calls.append(m) or real(a, b, m))
+    real = sums._cyclic_mul
+    monkeypatch.setattr(sums, "_cyclic_mul", lambda a, b, m: calls.append(m) or real(a, b, m))
     factors = 0
     for family in ("c", "cp"):
         _folded_terms.__wrapped__(family, n)
