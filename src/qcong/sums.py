@@ -1,8 +1,14 @@
 """Binomial convolution sums and the q-series terms built from them.
 
 The integer side: convolutions of central binomial coefficients
-weighted by (6j+1)(6k-6j+1), their closed forms, and the rational
-double sums with geometric weights x^k.
+weighted by (6j+1)(6k-6j+1), 1 or j(k-j), their closed forms, and the
+rational double sums with geometric weights x^k.  Each convolution is a
+self-convolution sum_j a_j a_(k-j) of one weight sequence a_j =
+C(2j,j) w(j), w linear in j, summed directly by _self_convolution over
+half the range, j <-> k-j, from a cached list of the a_j.  The double
+sums of one weight x = a/b share one Horner run over integer
+numerators, so each big-int product is taken once per weight for every
+n.
 
 The q side: two families of terms,
 
@@ -52,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
-from operator import add, and_, sub
+from operator import add, and_, mul, sub
 
 from .bigmath import central_binomial
 from .errors import DenominatorNotCoprime, EvenN
@@ -80,14 +86,32 @@ _central = lru_cache(maxsize=None)(central_binomial)
 
 
 @lru_cache(maxsize=None)
+def _weights(slope: int, intercept: int) -> list:
+    """The weights a_0, a_1, ... with a_j = C(2j,j) * (slope*j + intercept); _self_convolution grows it."""
+    return []
+
+
+def _self_convolution(slope: int, intercept: int, k: int) -> int:
+    """Sum over j <= k of a_j a_(k-j), a_j = C(2j,j) * (slope*j + intercept).
+
+    The summand is symmetric under j <-> k-j, so it is twice the sum over
+    j < (k+1)/2, plus the middle square a_(k/2)^2 at even k: about k/2
+    big-int products over the cached weights, still a direct summation.
+    """
+    a = _weights(slope, intercept)
+    for j in range(len(a), k + 1):
+        a.append(_central(j) * (slope * j + intercept))
+    h = (k + 1) // 2
+    total = 2 * sum(map(mul, a[:h], a[k : k - h : -1]))
+    return total + a[h] ** 2 if k % 2 == 0 else total
+
+
+@lru_cache(maxsize=None)
 def inner_conv_sum(k: int) -> int:
     """Sum over j of C(2j,j) C(2k-2j,k-j) (6j+1)(6k-6j+1)."""
     if k < 0:
         raise ValueError(f"inner_conv_sum needs k >= 0, got {k}")
-    return sum(
-        _central(j) * _central(k - j) * (6 * j + 1) * (6 * (k - j) + 1)
-        for j in range(k + 1)
-    )
+    return _self_convolution(6, 1, k)
 
 
 def inner_closed(k: int) -> int:
@@ -105,34 +129,41 @@ def plain_conv_sum(k: int) -> int:
     """Sum over j of C(2j,j) C(2k-2j,k-j); equals 4^k."""
     if k < 0:
         raise ValueError(f"plain_conv_sum needs k >= 0, got {k}")
-    return sum(_central(j) * _central(k - j) for j in range(k + 1))
+    return _self_convolution(0, 1, k)
 
 
 def weighted_conv_sum(k: int) -> int:
     """Sum over j of C(2j,j) C(2k-2j,k-j) j(k-j); equals 4^k k(k-1)/8."""
     if k < 0:
         raise ValueError(f"weighted_conv_sum needs k >= 0, got {k}")
-    return sum(
-        _central(j) * _central(k - j) * j * (k - j) for j in range(k + 1)
-    )
+    return _self_convolution(1, 0, k)
+
+
+@lru_cache(maxsize=8)
+def _horner_numerators(a: int, b: int) -> list:
+    """N_1, N_2, ... of double_sum at the weight a/b; double_sum grows it."""
+    return []
 
 
 def double_sum(n: int, x) -> Fraction:
     """Sum over k < n of x^k * inner_conv_sum(k), exact.
 
-    With x = a/b the sum is (sum_k inner_conv_sum(k) a^k b^(n-1-k)) /
-    b^(n-1); the numerator is accumulated by Horner's rule in integers,
-    so the only gcd is the one that reduces the final Fraction.
+    With x = a/b in lowest terms the sum is N_n / b^(n-1), where
+    N_n = sum_k inner_conv_sum(k) a^k b^(n-1-k) is an integer.  The N_n
+    of each weight are kept, and the next is N_(n+1) = N_n b +
+    inner_conv_sum(n) a^n by Horner's rule, so every n of one weight
+    shares one integer run, in any call order, and the only gcd is the
+    one that reduces the returned Fraction.  The last few weights are
+    kept, so memory stays bounded for a caller that sweeps x.
     """
     if n < 1:
         raise ValueError(f"double_sum needs n >= 1, got {n}")
     x = Fraction(x)
     a, b = x.numerator, x.denominator
-    acc, ak = 0, 1
-    for k in range(n):
-        acc = acc * b + inner_conv_sum(k) * ak
-        ak *= a
-    return Fraction(acc, b ** (n - 1))
+    nums = _horner_numerators(a, b)
+    for k in range(len(nums), n):
+        nums.append((nums[-1] * b if nums else 0) + inner_conv_sum(k) * a**k)
+    return Fraction(nums[n - 1], b ** (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +460,18 @@ def _local_images(family: str, n: int, d: int) -> tuple:
     if c_k > m_d.  The single and the double sum share these images.
     """
 
-    def vanishes(binomial) -> bool:
-        s, m = binomial
-        return s == 1 and m % d == 0
+    def depth(mult: Counter) -> int:
+        return sum(e for (s, m), e in mult.items() if s == 1 and not m % d)
 
     def times(a: list, binomial) -> list:
         s, m = binomial
-        return [-m * c for c in a] if vanishes(binomial) else [u - s * v for u, v in zip(a, _rotate(a, m))]
+        return [-m * c for c in a] if s == 1 and not m % d else [u - s * v for u, v in zip(a, _rotate(a, m))]
 
     full = _common_den_binomials(n)
-    m_d = sum(map(vanishes, full))
+    m_d = depth(Counter(full))
     terms = [_term_binomials(family, k) for k in range(n)]
     mults = [Counter(num + full[len(den) :]) for _, _, num, den in terms]
-    depths = [sum(e for b, e in mult.items() if vanishes(b)) for mult in mults]
+    depths = list(map(depth, mults))
     if min(depths) < m_d:
         raise DenominatorNotCoprime(f"Phi_{d} is left in the reduced denominator and divides [{n}]")
     keep = [k for k, c in enumerate(depths) if c == m_d]

@@ -28,7 +28,7 @@ from qcong.qring import (
     q_integer,
     q_pochhammer,
 )
-from qcong import congruence, sums
+from qcong import cli, congruence, sums
 from qcong.sums import (
     _assembled_numerators,
     _chain_products,
@@ -251,6 +251,35 @@ def test_reflection_symmetry():
         )
 
 
+def test_conv_sums_match_direct_summation_through_300():
+    # every k <= 300: odd k has no middle term, even k adds a_(k/2)^2 once
+    central = [math.comb(2 * j, j) for j in range(301)]
+    for k in range(301):
+        pairs = [(j, k - j, central[j] * central[k - j]) for j in range(k + 1)]
+        assert inner_conv_sum(k) == sum(c * (6 * i + 1) * (6 * j + 1) for i, j, c in pairs), k
+        assert plain_conv_sum(k) == sum(c for _, _, c in pairs), k
+        assert weighted_conv_sum(k) == sum(c * i * j for i, j, c in pairs), k
+
+
+def test_convolution_without_middle_term_fails_eq12_at_even_k_only():
+    real = sums._self_convolution
+
+    def without_middle(slope, intercept, k):
+        real(slope, intercept, k)  # grows the cached weights through k
+        a, h = sums._weights(slope, intercept), (k + 1) // 2
+        return 2 * sum(map(operator.mul, a[:h], a[k : k - h : -1]))
+
+    sums._self_convolution = without_middle
+    inner_conv_sum.cache_clear()
+    try:
+        holds = [cli._identity_instance(("eq12", k))["holds"] for k in range(40)]
+    finally:
+        sums._self_convolution = real
+        inner_conv_sum.cache_clear()
+    assert holds == [k % 2 == 1 for k in range(40)]
+    assert all(cli._identity_instance(("eq12", k))["holds"] for k in range(40))
+
+
 def test_double_sum_examples():
     for x in (Fraction(2), Fraction(-1, 8), Fraction(99, 7)):
         assert double_sum(1, x) == 1
@@ -286,6 +315,28 @@ def test_double_sum_equals_naive_fraction_accumulation(x):
         value = double_sum(n, x)
         assert type(value) is Fraction
         assert value == naive, (n, x)
+
+
+def naive_double_sums(x, n_max):
+    """[0, S(1, x), ..., S(n_max, x)] by Fraction accumulation, no Horner run."""
+    out, acc, xk = [Fraction(0)], Fraction(0), Fraction(1)
+    for k in range(n_max):
+        acc += xk * direct_inner(k)
+        xk *= x
+        out.append(acc)
+    return out
+
+
+def test_double_sum_shares_one_horner_run_per_weight_in_any_call_order():
+    # one weight spelled three ways, interleaved with a second, in descending n
+    quarter, eighth = naive_double_sums(Fraction(1, 4), 30), naive_double_sums(Fraction(-1, 8), 30)
+    for _ in range(2):
+        sums._horner_numerators.cache_clear()
+        for n in range(30, 0, -1):
+            for x in (Fraction(-1, 8), "-1/8", -0.125):
+                assert double_sum(n, x) == eighth[n], (n, x)
+            assert double_sum(n, Fraction(1, 4)) == quarter[n], n
+        assert sums._horner_numerators.cache_info().currsize == 2
 
 
 # --- q-series terms ----------------------------------------------------------------
