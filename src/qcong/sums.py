@@ -43,12 +43,12 @@ and so is coprime to [n] for odd n, and builds each numerator from the
 exponents as an integer polynomial modulo [n]: every product is taken
 modulo q^n - 1 and then reduced modulo [n], which divides it, so the
 summed images already are the residue.  On both pipelines the term
-numerators share most of their factors, binomials or cyclotomics, so one
-plan, _chain_products, builds each from a prefix and a suffix chain,
-each grown by its increments, and a few factors of its own, in the
-pipeline's own ring, with one product kernel in Z[x]/(x^d - 1),
-_cyclic_mul.  Each pipeline's images are checked against an oracle that
-never calls it, so the two verdicts stay independent checks.
+numerators share most of their factors, so one plan, _chain_products,
+builds all n once per (family, n) from a prefix and a suffix chain and a
+few factors each, in the pipeline's own ring, with one product kernel in
+Z[x]/(x^d - 1), _cyclic_mul; every d | n of the reduced pipeline reads
+the rows of one _chain_split.  Each pipeline's images are checked against
+an oracle that never calls it, so the two verdicts stay independent.
 """
 
 from __future__ import annotations
@@ -326,12 +326,13 @@ def _chain_split(mults: list) -> tuple[list, list, list]:
     return us, vs, [w - v for w, v in zip(ws, vs)]
 
 
-def _chain_products(mults: list, one, times, mul) -> list:
-    """For each factor Counter m_k, the product of its factors, from the chains of _chain_split.
+def _chain_products(split: tuple, one, times, mul) -> list:
+    """For each row u_k + v_k + r_k of a _chain_split, the product of its factors.
 
     Every pipeline builds its term numerators here in its own ring: one
     is the unit, times(image, f) multiplies an image by one factor f and
-    mul(a, b) multiplies two images.
+    mul(a, b) multiplies two images.  Rows picked from a split, in order,
+    form one too: u still does not decrease and v does not increase.
     """
 
     def extend(image, factors: Counter):
@@ -348,7 +349,7 @@ def _chain_products(mults: list, one, times, mul) -> list:
             out.append(image)
         return out
 
-    us, vs, rs = _chain_split(mults)
+    us, vs, rs = split
     sufs = chain(vs[::-1])[::-1]
     return [extend(mul(pre, suf), r) for pre, suf, r in zip(chain(us), sufs, rs)]
 
@@ -449,40 +450,44 @@ def _cyclic_mul(a, b, d: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _local_images(family: str, n: int, d: int) -> tuple:
-    """Depth-1 images at d of the numerators M_k of the first n terms over D = _common_den_binomials(n).
+def _local_images(family: str, n: int) -> dict:
+    """{d: depth-1 images at d} over d | n, d > 1, of the numerators M_k over D = _common_den_binomials(n).
 
     M_k = sign * q^qpow * (numerator binomials) * (D / term denominator)
     is t^c_k times a series, c_k the number of its vanishing binomials.
     Phi_d divides D m_d times, so c_k >= m_d, or DenominatorNotCoprime is
     raised.  Image k is the t^m_d coefficient of M_k: the product of the
     binomial images along the chains of _chain_products if c_k = m_d, ()
-    if c_k > m_d.  The single and the double sum share these images.
+    if c_k > m_d.  The M_k are built once per (family, n), and one
+    _chain_split of those that some d keeps; each d takes its own rows.
     """
-
-    def depth(mult: Counter) -> int:
-        return sum(e for (s, m), e in mult.items() if s == 1 and not m % d)
-
-    def times(a: list, binomial) -> list:
-        s, m = binomial
-        return [-m * c for c in a] if s == 1 and not m % d else [u - s * v for u, v in zip(a, _rotate(a, m))]
-
     full = _common_den_binomials(n)
-    m_d = depth(Counter(full))
     terms = [_term_binomials(family, k) for k in range(n)]
     mults = [Counter(num + full[len(den) :]) for _, _, num, den in terms]
-    depths = list(map(depth, mults))
-    if min(depths) < m_d:
-        raise DenominatorNotCoprime(f"Phi_{d} is left in the reduced denominator and divides [{n}]")
-    keep = [k for k, c in enumerate(depths) if c == m_d]
-    products = _chain_products(
-        [mults[k] for k in keep], [1] + [0] * (d - 1), times, lambda a, b: _cyclic_mul(a, b, d)
-    )
-    images = [()] * n
-    for k, product in zip(keep, products):
-        sign, qpow = terms[k][:2]
-        images[k] = tuple(sign * c for c in _rotate(product, qpow))
-    return tuple(images)
+    keep = {}
+    for d in _divisors(n)[1:]:
+        m_d = sum(s == 1 and not m % d for s, m in full)
+        depths = [sum(e for (s, m), e in c.items() if s == 1 and not m % d) for c in mults]
+        if min(depths) < m_d:
+            raise DenominatorNotCoprime(f"Phi_{d} is left in the reduced denominator and divides [{n}]")
+        keep[d] = {k for k, c in enumerate(depths) if c == m_d}
+    built = sorted(set().union(*keep.values()))
+    split = _chain_split([mults[k] for k in built])
+
+    def images_at(d: int) -> tuple:
+        def times(a: list, f) -> list:
+            s, m = f
+            return [-m * c for c in a] if s == 1 and not m % d else [u - s * v for u, v in zip(a, _rotate(a, m))]
+
+        rows = tuple([row for k, row in zip(built, part) if k in keep[d]] for part in split)
+        products = _chain_products(rows, [1] + [0] * (d - 1), times, lambda a, b: _cyclic_mul(a, b, d))
+        images = [()] * n
+        for k, product in zip(sorted(keep[d]), products):
+            sign, qpow = terms[k][:2]
+            images[k] = tuple(sign * c for c in _rotate(product, qpow))
+        return tuple(images)
+
+    return {d: images_at(d) for d in keep}
 
 
 def _reduced_verdict(family: str, n: int, d: int, double: bool) -> list:
@@ -492,7 +497,7 @@ def _reduced_verdict(family: str, n: int, d: int, double: bool) -> list:
     sum of the images, and the t^2m_d coefficient of the double sum over
     D^2 is their pair sum; returned modulo Phi_d.
     """
-    images = _local_images(family, n, d)
+    images = _local_images(family, n)[d]
     total = _term_sum(images, lambda a, b: _cyclic_mul(a, b, d), double)
     return _int_divmod_unit_lead(total, cyclotomic(d).coeffs)[1]
 
@@ -566,17 +571,11 @@ def _folded_terms(family: str, n: int) -> tuple:
             raise DenominatorNotCoprime(
                 f"term {k} denominator shares cyclotomic indices {bad} with q^{n} - 1"
             )
-        for d, e in exps:
-            if e < 0:
-                common[d] = max(common[d], -e)
-    mults = []
-    for _, _, exps in terms:
-        mult = common.copy()
-        mult.update(dict(exps))
-        mults.append(mult)
+        common |= Counter({d: -e for d, e in exps})
+    mults = [common + Counter(dict(exps)) for _, _, exps in terms]
     phis = {d: _fold_list(cyclotomic(d).coeffs, n) for d in set().union(*mults)}
     products = _chain_products(
-        mults,
+        _chain_split(mults),
         [1],
         lambda a, d: _mod_qint(_cyclic_mul(a, phis[d], n), n),
         lambda a, b: _mod_qint(_cyclic_mul(a, b, n), n),

@@ -539,7 +539,7 @@ def test_local_images_are_the_leading_local_coefficients(family):
         for d in range(2, n + 1):
             if n % d:
                 continue
-            m, images = mults[d], _local_images(family, n, d)
+            m, images = mults[d], _local_images(family, n)[d]
             assert any(images), (n, d)
             with without_shared_kernel():
                 series = [dense_local(num, d, m + 1) for num in _assembled_numerators(family, n)]
@@ -614,15 +614,29 @@ def test_reduced_verdict_refuses_even_n():
                 congruence.check_eq1(n, method="reduced")
 
 
-def test_single_and_double_sums_share_one_build_per_divisor():
-    # eq1 then eq3 at one n build each (family, n, d) image tuple once
+def test_single_and_double_sums_share_one_build_per_n():
+    # eq1 then eq3 at one n build the (family, n) images once: every
+    # divisor of either check after the first reads the same build
     n = 45
     _local_images.cache_clear()
     congruence.check_eq1(n, method="reduced")
     divisors = sum(1 for d in range(2, n + 1) if n % d == 0)
-    assert _local_images.cache_info()[:2] == (0, divisors)
+    assert _local_images.cache_info()[:2] == (divisors - 1, 1)
     congruence.check_eq3(n, method="reduced")
-    assert _local_images.cache_info()[:2] == (divisors, divisors)
+    assert _local_images.cache_info()[:2] == (2 * divisors - 1, 1)
+
+
+def test_local_images_build_the_terms_once_for_every_divisor(monkeypatch):
+    # 45 has the 5 divisors 3, 5, 9, 15, 45 above 1; all of them read one
+    # set of the n term binomial lists
+    n, calls = 45, []
+    real = sums._term_binomials
+    monkeypatch.setattr(sums, "_term_binomials", lambda family, k: calls.append(k) or real(family, k))
+    for family in ("c", "cp"):
+        calls.clear()
+        images = _local_images.__wrapped__(family, n)
+        assert sorted(images) == [3, 5, 9, 15, 45], family
+        assert len(calls) == n, family
 
 
 @st.composite
@@ -690,7 +704,9 @@ def test_local_verdict_negative_control_at_depth(monkeypatch, family, n, depths)
     # the double sum too: the pairs with term 0 add up to 2 t(0) times the
     # single sum, minus t(0)^2, so they leave -t(0)^2 = -1 at every d
     real = _local_images
-    monkeypatch.setattr(sums, "_local_images", lambda f, m, d: ((),) + real(f, m, d)[1:])
+    monkeypatch.setattr(
+        sums, "_local_images", lambda f, m: {d: ((),) + images[1:] for d, images in real(f, m).items()}
+    )
     for double in (False, True):
         assert all(_reduced_verdict(family, n, d, double) for d in range(2, n + 1) if n % d == 0)
 
@@ -806,7 +822,7 @@ def test_chain_split_and_products(rows, n):
     # cyclotomic factors multiplied modulo [n], as the folded pipeline does
     phis = {d: _fold_list(cyclotomic(d).coeffs, n) for d in range(1, len(rows[0]) + 1)}
     chained = _chain_products(
-        mults,
+        (us, vs, rs),
         [1],
         lambda a, d: _mod_qint(_cyclic_mul(a, phis[d], n), n),
         lambda a, b: _mod_qint(_cyclic_mul(a, b, n), n),
@@ -819,7 +835,7 @@ def test_chain_split_and_products(rows, n):
     # and in a ring unrelated to both pipelines: integer factors f, prod f^e
     primes = [2, 3, 5, 7]
     ints = [Counter({primes[d - 1]: e for d, e in m.items()}) for m in mults]
-    products = _chain_products(ints, 1, operator.mul, operator.mul)
+    products = _chain_products(_chain_split(ints), 1, operator.mul, operator.mul)
     assert products == [math.prod(f**e for f, e in m.items()) for m in ints]
 
 
@@ -892,18 +908,19 @@ def test_folded_terms_share_their_products(monkeypatch):
 def test_local_terms_share_their_products(monkeypatch):
     # one depth-1 multiply per binomial would be sum_k |m_k| calls of times,
     # m_k the numerator binomials of the built term k and the cofactor
-    # D / its denominator; the chains multiply in far fewer
-    n, d = 45, 3
+    # D / its denominator, over every divisor; the chains multiply in far fewer
+    n = 45
     real = sums._chain_products
     for family in ("c", "cp"):
         calls, built = [], []
 
-        def spy(mults, one, times, mul):
-            built.extend(mults)
-            return real(mults, one, lambda a, f: calls.append(f) or times(a, f), mul)
+        def spy(split, one, times, mul):
+            built.extend(u + v + r for u, v, r in zip(*split))
+            return real(split, one, lambda a, f: calls.append(f) or times(a, f), mul)
 
         monkeypatch.setattr(sums, "_chain_products", spy)
-        _local_images.__wrapped__(family, n, d)
+        _local_images.__wrapped__(family, n)
         monkeypatch.undo()
-        assert len(built) == sum(map(bool, _local_images(family, n, d))), family
+        images = _local_images(family, n)
+        assert len(built) == sum(sum(map(bool, images[d])) for d in images), family
         assert 0 < len(calls) < sum(sum(m.values()) for m in built) / 10, family
