@@ -22,12 +22,11 @@ cyclotomic; the reduced path from the term binomials, each read at
 depth 1 at the roots of unity of [n], never folding modulo q^n - 1,
 reading a term exponent or factoring a binomial: m_d and each c_k count
 the binomials whose own local series has a vanishing constant term.
-They share the division kernel, the product kernel in Z[x]/(x^d - 1)
-(sums._cyclic_mul, followed on the folded path by a reduction modulo
-[n]), and two plans: the chains that build every term numerator from
-shared prefix and suffix products (sums._chain_products), and the
-prefix sums that turn a double sum into n products (sums._term_sum),
-which pair-sum oracles check on each path.  The product kernel is
+They share only the division kernel, the product kernel in
+Z[x]/(x^d - 1) and its rotation (sums._cyclic_mul and sums._rotate,
+followed on the folded path by a reduction modulo [n]), and the prefix
+sums that turn a double sum into n products (sums._term_sum), which
+pair-sum oracles check on each path.  The product kernel is
 tested against schoolbook products folded, and oracles that never call
 it check each path's numerators: the folded images against full
 products of cyclotomic powers folded (_fold_list) and divided by [n],

@@ -78,11 +78,12 @@ def _intpoly_mul(a: list[int], b: list[int]) -> list[int]:
 
     Coefficients are offset into nonnegative byte-aligned chunks so the
     whole product is a single CPython big-int multiplication; chunk width
-    is sized from the exact convolution bound, making recovery lossless.
+    is sized from the exact convolution bound and the largest operand
+    coefficient, making recovery lossless.
     """
     amax = max(map(abs, a))
     bmax = max(map(abs, b))
-    bound = amax * bmax * min(len(a), len(b))
+    bound = max(amax * bmax * min(len(a), len(b)), amax, bmax)
     bits = ((bound.bit_length() + 2 + 7) // 8) * 8
     half = 1 << (bits - 1)
     nbytes = bits // 8

@@ -42,13 +42,11 @@ L = prod Phi_d^(max_k -e_d), which carries only even cyclotomic indices
 and so is coprime to [n] for odd n, and builds each numerator from the
 exponents as an integer polynomial modulo [n]: every product is taken
 modulo q^n - 1 and then reduced modulo [n], which divides it, so the
-summed images already are the residue.  On both pipelines the term
-numerators share most of their factors, so one plan, _chain_products,
-builds all n once per (family, n) from a prefix and a suffix chain and a
-few factors each, in the pipeline's own ring, with one product kernel in
-Z[x]/(x^d - 1), _cyclic_mul; every d | n of the reduced pipeline reads
-the rows of one _chain_split.  Each pipeline's images are checked against
-an oracle that never calls it, so the two verdicts stay independent.
+summed images already are the residue.  Each pipeline builds its n
+term numerators once per (family, n) from its own prefix and suffix
+chains of shared factors, with one product kernel in Z[x]/(x^d - 1),
+_cyclic_mul, and its images are checked against an oracle that never
+calls it, so the two verdicts stay independent.
 """
 
 from __future__ import annotations
@@ -176,19 +174,18 @@ def double_sum(n: int, x) -> Fraction:
 def _term_binomials(family: str, k: int):
     """Numerator/denominator binomial factors of the k-th term, unreduced.
 
-    [6k+1] enters as (1 - q^(6k+1)) in the numerator and (1 - q) in the
-    denominator so that everything stays a product of binomials; the
-    denominator is then D_{k+1} of _common_den_binomials.
+    [6k+1] enters as (1 - q^(6k+1)), last in the numerator, and (1 - q) in
+    the denominator, D_{k+1} of _common_den_binomials, so that all stays a
+    product of binomials.  Before it, the numerator lists each Pochhammer
+    step i < k in turn: its first 3k binomials are every later term's.
     """
     if family == "c":
-        num = [(1, 2 * i + 1) for i in range(k)]
-        sign, qpow = (-1) ** k, 3 * k * k
+        scale, sign, qpow = 1, (-1) ** k, 3 * k * k
     elif family == "cp":
-        num = [(1, 4 * i + 2) for i in range(k)]
-        sign, qpow = 1, k * k
+        scale, sign, qpow = 2, 1, k * k
     else:
         raise ValueError(f"unknown term family {family!r}")
-    num += [(-1, 2 * i + 1) for i in range(k) for _ in range(2)]
+    num = [f for i in range(k) for f in ((1, scale * (2 * i + 1)), (-1, 2 * i + 1), (-1, 2 * i + 1))]
     num.append((1, 6 * k + 1))
     return sign, qpow, num, _common_den_binomials(k + 1)
 
@@ -329,10 +326,9 @@ def _chain_split(mults: list) -> tuple[list, list, list]:
 def _chain_products(split: tuple, one, times, mul) -> list:
     """For each row u_k + v_k + r_k of a _chain_split, the product of its factors.
 
-    Every pipeline builds its term numerators here in its own ring: one
-    is the unit, times(image, f) multiplies an image by one factor f and
-    mul(a, b) multiplies two images.  Rows picked from a split, in order,
-    form one too: u still does not decrease and v does not increase.
+    The folded pipeline builds its term numerators here, in its own ring:
+    one is the unit, times(image, f) multiplies an image by one factor f
+    and mul(a, b) multiplies two images.
     """
 
     def extend(image, factors: Counter):
@@ -456,38 +452,41 @@ def _local_images(family: str, n: int) -> dict:
     M_k = sign * q^qpow * (numerator binomials) * (D / term denominator)
     is t^c_k times a series, c_k the number of its vanishing binomials.
     Phi_d divides D m_d times, so c_k >= m_d, or DenominatorNotCoprime is
-    raised.  Image k is the t^m_d coefficient of M_k: the product of the
-    binomial images along the chains of _chain_products if c_k = m_d, ()
-    if c_k > m_d.  The M_k are built once per (family, n), and one
-    _chain_split of those that some d keeps; each d takes its own rows.
+    raised.  Image k is the t^m_d coefficient of M_k, () if c_k > m_d, or
+    else the product of the binomial images of a prefix of the last
+    term's Pochhammer binomials, a suffix of D and (1 - q^(6k+1)): at each
+    d one prefix and one suffix chain keep the products the terms index.
     """
     full = _common_den_binomials(n)
     terms = [_term_binomials(family, k) for k in range(n)]
-    mults = [Counter(num + full[len(den) :]) for _, _, num, den in terms]
-    keep = {}
+    pochhammer = terms[-1][2][:-1]
+    out = {}
     for d in _divisors(n)[1:]:
-        m_d = sum(s == 1 and not m % d for s, m in full)
-        depths = [sum(e for (s, m), e in c.items() if s == 1 and not m % d) for c in mults]
-        if min(depths) < m_d:
-            raise DenominatorNotCoprime(f"Phi_{d} is left in the reduced denominator and divides [{n}]")
-        keep[d] = {k for k, c in enumerate(depths) if c == m_d}
-    built = sorted(set().union(*keep.values()))
-    split = _chain_split([mults[k] for k in built])
+        def vanishes(f) -> bool:
+            return f[0] == 1 and not f[1] % d
 
-    def images_at(d: int) -> tuple:
         def times(a: list, f) -> list:
             s, m = f
-            return [-m * c for c in a] if s == 1 and not m % d else [u - s * v for u, v in zip(a, _rotate(a, m))]
+            return [-m * c for c in a] if vanishes(f) else [u - s * v for u, v in zip(a, _rotate(a, m))]
 
-        rows = tuple([row for k, row in zip(built, part) if k in keep[d]] for part in split)
-        products = _chain_products(rows, [1] + [0] * (d - 1), times, lambda a, b: _cyclic_mul(a, b, d))
+        def chain(binomials: list, stops: set) -> dict:
+            products = accumulate(binomials[: max(stops)], times, initial=[1] + [0] * (d - 1))
+            return {j: p for j, p in enumerate(products) if j in stops}
+
+        num_depth, den_depth = (list(accumulate(map(vanishes, fs), initial=0)) for fs in (pochhammer, full))
+        excess = [den_depth[len(den)] - num_depth[len(num) - 1] - vanishes(num[-1]) for *_, num, den in terms]
+        if max(excess) > 0:
+            raise DenominatorNotCoprime(f"Phi_{d} is left in the reduced denominator and divides [{n}]")
+        built = [k for k, e in enumerate(excess) if not e]
+        pre = chain(pochhammer, {len(terms[k][2]) - 1 for k in built})
+        suf = chain(full[::-1], {len(full) - len(terms[k][3]) for k in built})
         images = [()] * n
-        for k, product in zip(sorted(keep[d]), products):
-            sign, qpow = terms[k][:2]
+        for k in built:
+            sign, qpow, num, den = terms[k]
+            product = times(_cyclic_mul(pre[len(num) - 1], suf[len(full) - len(den)], d), num[-1])
             images[k] = tuple(sign * c for c in _rotate(product, qpow))
-        return tuple(images)
-
-    return {d: images_at(d) for d in keep}
+        out[d] = tuple(images)
+    return out
 
 
 def _reduced_verdict(family: str, n: int, d: int, double: bool) -> list:

@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from qcong import qring
 from qcong.errors import BothZero, DenominatorNotCoprime, DivisionByZeroPoly
 from qcong.qring import (
     ONE,
     QPoly,
     QRat,
     ZERO,
+    _intpoly_mul,
+    _list_mul,
     _norm,
     congruent_zero_mod_qint,
     cyclotomic,
@@ -33,6 +36,17 @@ operands = st.one_of(small_coeffs, rational_coeffs, mixed_polys, qrats)
 def one_minus(sign, m):
     """1 - sign*q^m built positionally, independent of the product helper."""
     return QPoly([1] + [0] * (m - 1) + [-sign]) if m else QPoly([1 - sign])
+
+
+def schoolbook(a, b):
+    """Integer coefficient-list product by the double loop, trailing zeros dropped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def mobius(n):
@@ -490,3 +504,40 @@ def test_scalar_multiply_skips_zero_coefficients():
             assert product == tuple(_norm(c * s) for c in p.coeffs)
             assert all(type(c) is int for c, a in zip(product, p.coeffs) if not a)
             assert (s * p).coeffs == product
+
+
+big = 1 << 1100
+packed_operands = st.lists(
+    st.sampled_from([0, 1, -1]) | st.integers(-(10**6), 10**6) | st.integers(-big, big), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_operands, packed_operands)
+@example([0], [0])
+@example([0, 0, 0], [5, -3])
+@example([0, 0], [big, 300])
+@example([7], [-2])
+@example([-1], [1, 0, -1, 0, 0])
+@example([big, -big, 1], [-(big - 1)])
+@example([3, 0, -big], [0] * 17 + [-1])
+def test_intpoly_mul_is_the_schoolbook_product(a, b):
+    # the packed product recovers every coefficient exactly: zero operands,
+    # negative and 1,100-bit coefficients, unequal and length-1 operands
+    before = (list(a), list(b))
+    assert _intpoly_mul(a, b) == schoolbook(a, b)
+    assert (a, b) == before
+
+
+@pytest.mark.parametrize("nonzero", [64, 65])
+def test_list_mul_packs_above_its_threshold_only(monkeypatch, nonzero):
+    # 64 nonzero coefficients against a length-64 operand is 4,096 products,
+    # the schoolbook side of the threshold; 65 is the first packed size
+    rng = random.Random(nonzero)
+    a = [rng.choice([-(1 << 1100), -7, 1, 3]) for _ in range(nonzero)]
+    b = [rng.randint(-(10**9), 10**9) for _ in range(64)]
+    calls = []
+    real = qring._intpoly_mul
+    monkeypatch.setattr(qring, "_intpoly_mul", lambda x, y: calls.append(1) or real(x, y))
+    assert _list_mul(a, b) == schoolbook(a, b)
+    assert len(calls) == (nonzero > 64)

@@ -626,6 +626,20 @@ def test_single_and_double_sums_share_one_build_per_n():
     assert _local_images.cache_info()[:2] == (2 * divisors - 1, 1)
 
 
+@pytest.mark.parametrize("family", ["c", "cp"])
+def test_term_numerators_are_prefixes_of_the_last_pochhammer_list(family):
+    # term k's numerator is the first 3k Pochhammer binomials of any later
+    # term's, step by step, then (1 - q^(6k+1)); its denominator is D_(k+1)
+    for n in range(2, 46):
+        last = sums._term_binomials(family, n - 1)[2][:-1]
+        full = _common_den_binomials(n)
+        for k in range(n):
+            num, den = sums._term_binomials(family, k)[2:]
+            assert num[:-1] == last[: 3 * k], (n, k)
+            assert num[-1] == (1, 6 * k + 1), (n, k)
+            assert den == full[: 3 * k + 1], (n, k)
+
+
 def test_local_images_build_the_terms_once_for_every_divisor(monkeypatch):
     # 45 has the 5 divisors 3, 5, 9, 15, 45 above 1; all of them read one
     # set of the n term binomial lists
@@ -908,19 +922,25 @@ def test_folded_terms_share_their_products(monkeypatch):
 def test_local_terms_share_their_products(monkeypatch):
     # one depth-1 multiply per binomial would be sum_k |m_k| calls of times,
     # m_k the numerator binomials of the built term k and the cofactor
-    # D / its denominator, over every divisor; the chains multiply in far fewer
+    # D / its denominator, over every divisor; the chains multiply in far
+    # fewer, and each built image is one product of a prefix and a suffix
     n = 45
-    real = sums._chain_products
+    full = _common_den_binomials(n)
+    real_mul, real_rotate = sums._cyclic_mul, sums._rotate
+
+    def refuse(*args):
+        raise AssertionError("the reduced build called the folded pipeline's plan")
+
     for family in ("c", "cp"):
-        calls, built = [], []
-
-        def spy(split, one, times, mul):
-            built.extend(u + v + r for u, v, r in zip(*split))
-            return real(split, one, lambda a, f: calls.append(f) or times(a, f), mul)
-
-        monkeypatch.setattr(sums, "_chain_products", spy)
-        _local_images.__wrapped__(family, n)
+        products, rotations = [], []
+        monkeypatch.setattr(sums, "_cyclic_mul", lambda a, b, d: products.append(d) or real_mul(a, b, d))
+        monkeypatch.setattr(sums, "_rotate", lambda a, e: rotations.append(e) or real_rotate(a, e))
+        monkeypatch.setattr(sums, "_chain_split", refuse)
+        monkeypatch.setattr(sums, "_chain_products", refuse)
+        images = _local_images.__wrapped__(family, n)
         monkeypatch.undo()
-        images = _local_images(family, n)
-        assert len(built) == sum(sum(map(bool, images[d])) for d in images), family
-        assert 0 < len(calls) < sum(sum(m.values()) for m in built) / 10, family
+        terms = [sums._term_binomials(family, k) for k in range(n)]
+        built = [terms[k] for d in images for k, image in enumerate(images[d]) if image]
+        assert len(products) == len(built), family
+        binomials = sum(len(num) + len(full) - len(den) for _, _, num, den in built)
+        assert 0 < len(rotations) < binomials / 10, family
