@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 
 from .errors import BothZero, DenominatorNotCoprime, DivisionByZeroPoly
 
@@ -431,15 +430,18 @@ def q_pochhammer(sign: int, e: int, step: int, k: int) -> QPoly:
 def cyclotomic(n: int) -> QPoly:
     """The n-th cyclotomic polynomial (monic, integer coefficients).
 
-    Computed as one exact division of q^n - 1 by the product of the
-    cyclotomic polynomials of the proper divisors of n; the test suite
-    cross-checks this against the Moebius product formula.
+    Computed on integer lists as one exact division of q^n - 1 by the
+    product of the cyclotomic polynomials of the proper divisors of n;
+    the test suite cross-checks this against the Moebius product formula.
     """
     if n < 1:
         raise ValueError(f"cyclotomic needs n >= 1, got {n}")
-    phi, r = divrem(QPoly._raw([-1] + [0] * (n - 1) + [1]), prod(map(cyclotomic, _divisors(n)[:-1])))
+    den = [1]
+    for d in _divisors(n)[:-1]:
+        den = _list_mul(den, cyclotomic(d).coeffs)
+    phi, r = _int_divmod_unit_lead([-1] + [0] * (n - 1) + [1], den)
     assert not r, f"cyclotomic division left a remainder at n={n}"
-    return phi
+    return QPoly._raw(phi)
 
 
 def fold_mod_qn_minus_1(f: QPoly, n: int) -> QPoly:

@@ -44,7 +44,8 @@ exponents as an integer polynomial modulo [n]: every product is taken
 modulo q^n - 1 and then reduced modulo [n], which divides it, so the
 summed images already are the residue.  Each pipeline builds its n
 term numerators once per (family, n) from its own prefix and suffix
-chains of shared factors, with one product kernel in Z[x]/(x^d - 1),
+chains of shared factors (the folded one splits dense rows of the
+exponents over L), with one product kernel in Z[x]/(x^d - 1),
 _cyclic_mul, and its images are checked against an oracle that never
 calls it, so the two verdicts stay independent.
 """
@@ -53,10 +54,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import prod
-from operator import add, and_, mul, sub
+from operator import add, mul, sub
 
 from .bigmath import central_binomial
 from .errors import DenominatorNotCoprime, EvenN
@@ -308,8 +309,8 @@ def _term_sum(items, mul, double: bool) -> list:
     return acc
 
 
-def _chain_split(mults: list) -> tuple[list, list, list]:
-    """Split nonnegative factor Counters m_k as u_k + v_k + r_k, all >= 0.
+def _chain_split(rows: list) -> tuple[list, list, list]:
+    """Split nonnegative integer rows m_k as u_k + v_k + r_k, all >= 0 entrywise.
 
     u_k = min over j >= k of m_j does not decrease with k, and
     v_k = min over j <= k of (m_j - u_j) does not increase, so the
@@ -317,37 +318,13 @@ def _chain_split(mults: list) -> tuple[list, list, list]:
     suffix chain, each built by multiplying in only its increments; r_k
     is the rest of m_k.
     """
-    us = list(accumulate(reversed(mults), and_))[::-1]
-    ws = [m - u for m, u in zip(mults, us)]
-    vs = list(accumulate(ws, and_))
-    return us, vs, [w - v for w, v in zip(ws, vs)]
+    def rowmin(a, b):
+        return list(map(min, a, b))
 
-
-def _chain_products(split: tuple, one, times, mul) -> list:
-    """For each row u_k + v_k + r_k of a _chain_split, the product of its factors.
-
-    The folded pipeline builds its term numerators here, in its own ring:
-    one is the unit, times(image, f) multiplies an image by one factor f
-    and mul(a, b) multiplies two images.
-    """
-
-    def extend(image, factors: Counter):
-        for f, e in factors.items():
-            for _ in range(e):
-                image = times(image, f)
-        return image
-
-    def chain(parts) -> list:
-        out, image, have = [], one, Counter()
-        for part in parts:
-            image = extend(image, part - have)
-            have = part
-            out.append(image)
-        return out
-
-    us, vs, rs = split
-    sufs = chain(vs[::-1])[::-1]
-    return [extend(mul(pre, suf), r) for pre, suf, r in zip(chain(us), sufs, rs)]
+    us = list(accumulate(reversed(rows), rowmin))[::-1]
+    ws = [list(map(sub, m, u)) for m, u in zip(rows, us)]
+    vs = list(accumulate(ws, rowmin))
+    return us, vs, [list(map(sub, w, v)) for w, v in zip(ws, vs)]
 
 
 def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
@@ -543,6 +520,11 @@ def _mod_qint(cs: list, n: int) -> list:
     return _trim(cs)
 
 
+def _qint_mul(a: list, b: list, n: int) -> list:
+    """Product modulo [n] of two coefficient lists of length below n, trimmed."""
+    return _mod_qint(_cyclic_mul(a, b, n), n)
+
+
 @lru_cache(maxsize=None)
 def _folded_terms(family: str, n: int) -> tuple:
     """Integer images mod [n] of the first n terms over one common denominator.
@@ -550,37 +532,50 @@ def _folded_terms(family: str, n: int) -> tuple:
     Term k is N_k / L with L = prod Phi_d^L_d, where L_d is the largest
     multiplicity of Phi_d in any of the n term denominators, and
     N_k = sign * q^qpow * prod Phi_d^m_k(d), m_k(d) = e_d + L_d >= 0, has
-    integer coefficients.  Numerator Pochhammers grow with k and
-    denominator cofactors shrink with k, so most of the m_k are shared:
-    _chain_products builds every prod Phi_d^m_k(d) mod [n] from one
-    prefix and one suffix chain of cyclotomic powers and a few factors
-    of its own, and the product is then rotated by q^qpow, signed and
-    reduced mod [n] again.  Every image has fewer than n coefficients;
-    at prime n, [n] = Phi_n and the terms with k > (n-1)/2 carry Phi_n,
-    so their images are empty.  A sum of terms vanishes modulo [n] iff
-    the same sum of the N_k does, because L is coprime to [n]: term
-    denominators carry only even cyclotomic indices and n is odd.  A
-    denominator index d that divides n raises DenominatorNotCoprime.
+    integer coefficients.  The exponents are read into one dense row per
+    term, a column per cyclotomic index.  Numerator Pochhammers grow with
+    k and denominator cofactors shrink with k, so most of the m_k are
+    shared: _chain_split puts them in one prefix and one suffix chain of
+    cyclotomic powers mod [n] and leaves each term a few factors of its
+    own, and the product is then rotated by q^qpow, signed and reduced
+    mod [n] again.  Every image has fewer than n coefficients; at prime
+    n, [n] = Phi_n and the terms with k > (n-1)/2 carry Phi_n, so their
+    images are empty.  A sum of terms vanishes modulo [n] iff the same
+    sum of the N_k does, because L is coprime to [n]: term denominators
+    carry only even cyclotomic indices and n is odd.  A denominator
+    index d that divides n raises DenominatorNotCoprime.
     """
     terms = [_reduced_term(family, k) for k in range(n)]
-    common = Counter()
-    for k, (_, _, exps) in enumerate(terms):
-        bad = [d for d, e in exps if e < 0 and n % d == 0]
+    exps = [dict(e) for _, _, e in terms]
+    ds = sorted(set().union(*exps))
+    rows = [[e.get(d, 0) for d in ds] for e in exps]
+    for k, row in enumerate(rows):
+        bad = [d for d, e in zip(ds, row) if e < 0 and n % d == 0]
         if bad:
             raise DenominatorNotCoprime(
                 f"term {k} denominator shares cyclotomic indices {bad} with q^{n} - 1"
             )
-        common |= Counter({d: -e for d, e in exps})
-    mults = [common + Counter(dict(exps)) for _, _, exps in terms]
-    phis = {d: _fold_list(cyclotomic(d).coeffs, n) for d in set().union(*mults)}
-    products = _chain_products(
-        _chain_split(mults),
-        [1],
-        lambda a, d: _mod_qint(_cyclic_mul(a, phis[d], n), n),
-        lambda a, b: _mod_qint(_cyclic_mul(a, b, n), n),
-    )
+    common = [-min(0, *col) for col in zip(*rows)]
+    us, vs, rs = _chain_split([list(map(add, row, common)) for row in rows])
+    phis = [_fold_list(cyclotomic(d).coeffs, n) for d in ds]
+
+    def times(image: list, row) -> list:
+        for phi, e in zip(phis, row):
+            for _ in range(e):
+                image = _qint_mul(image, phi, n)
+        return image
+
+    def chain(parts: list) -> list:
+        out, image, have = [], [1], [0] * len(ds)
+        for part in parts:
+            image = times(image, map(sub, part, have))
+            have = part
+            out.append(image)
+        return out
+
     images = []
-    for (sign, qpow, _), product in zip(terms, products):
+    for (sign, qpow, _), pre, suf, r in zip(terms, chain(us), chain(vs[::-1])[::-1], rs):
+        product = times(_qint_mul(pre, suf, n), r)
         image = _rotate(product + [0] * (n - len(product)), qpow)
         images.append(tuple(_mod_qint([sign * c for c in image], n)))
     return tuple(images)
@@ -610,5 +605,5 @@ def folded_double_sum_residue(term, n: int) -> QPoly:
     if n < 1:
         raise ValueError(f"folded_double_sum_residue needs n >= 1, got {n}")
     images = _folded_terms(_family_name(term), n)
-    total = _term_sum(images, lambda a, b: _mod_qint(_cyclic_mul(a, b, n), n), double=True)
+    total = _term_sum(images, partial(_qint_mul, n=n), double=True)
     return QPoly._raw(_trim(total))

@@ -3,10 +3,7 @@
 import contextlib
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from operator import and_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,14 +28,13 @@ from qcong.qring import (
 from qcong import cli, congruence, sums
 from qcong.sums import (
     _assembled_numerators,
-    _chain_products,
     _chain_split,
     _common_den_binomials,
     _cyclic_mul,
     _cyclotomic_multiplicities,
     _folded_terms,
     _local_images,
-    _mod_qint,
+    _qint_mul,
     _reduced_term,
     _reduced_verdict,
     _rotate,
@@ -813,7 +809,7 @@ def test_folded_images_match_full_degree_products(family):
             assert images[k] == expected, (family, n, k)
 
 
-exponent_vectors = st.integers(1, 4).flatmap(
+exponent_rows = st.integers(0, 4).flatmap(
     lambda width: st.lists(
         st.lists(st.integers(0, 4), min_size=width, max_size=width), min_size=1, max_size=7
     )
@@ -821,36 +817,18 @@ exponent_vectors = st.integers(1, 4).flatmap(
 
 
 @settings(max_examples=150, deadline=None)
-@given(exponent_vectors, st.integers(1, 9))
-def test_chain_split_and_products(rows, n):
-    # exponent rows over the cyclotomic indices 1..width, zeros kept as entries
-    mults = [Counter({d: e for d, e in enumerate(row, 1)}) for row in rows]
-    us, vs, rs = _chain_split(mults)
-    for k, m in enumerate(mults):
-        assert us[k] + vs[k] + rs[k] == +m
-        assert all(e >= 0 for e in rs[k].values())
-        assert us[k] == reduce(and_, mults[k:])
+@given(exponent_rows)
+def test_chain_split_invariants(rows):
+    # one exponent per column, zeros kept as entries; the chains multiply
+    # in only their increments, so u may only grow with k and v only shrink
+    us, vs, rs = _chain_split(rows)
+    for k, m in enumerate(rows):
+        assert list(map(sum, zip(us[k], vs[k], rs[k]))) == m
+        assert min(vs[k] + rs[k], default=0) >= 0
+        assert us[k] == [min(col) for col in zip(*rows[k:])]
         if k:
-            assert not us[k - 1] - us[k]
-            assert not vs[k] - vs[k - 1]
-    # cyclotomic factors multiplied modulo [n], as the folded pipeline does
-    phis = {d: _fold_list(cyclotomic(d).coeffs, n) for d in range(1, len(rows[0]) + 1)}
-    chained = _chain_products(
-        (us, vs, rs),
-        [1],
-        lambda a, d: _mod_qint(_cyclic_mul(a, phis[d], n), n),
-        lambda a, b: _mod_qint(_cyclic_mul(a, b, n), n),
-    )
-    direct = [
-        _mod_qint_oracle(_fold_list(math.prod((cyclotomic(d) ** e for d, e in m.items()), start=ONE), n), n)
-        for m in mults
-    ]
-    assert [tuple(p) for p in chained] == direct
-    # and in a ring unrelated to both pipelines: integer factors f, prod f^e
-    primes = [2, 3, 5, 7]
-    ints = [Counter({primes[d - 1]: e for d, e in m.items()}) for m in mults]
-    products = _chain_products(_chain_split(ints), 1, operator.mul, operator.mul)
-    assert products == [math.prod(f**e for f, e in m.items()) for m in ints]
+            assert all(map(operator.le, us[k - 1], us[k]))
+            assert all(map(operator.ge, vs[k - 1], vs[k]))
 
 
 @st.composite
@@ -869,7 +847,7 @@ def operands_mod_qint(draw):
 @example(([1, 1, 1, 1, 1, 1, 1], [0, 1], 7))
 def test_mul_mod_qn_is_the_product_modulo_q_integer(operands):
     a, b, n = operands
-    assert tuple(_mod_qint(_cyclic_mul(a, b, n), n)) == _mod_qint_oracle(_list_mul(a, b), n)
+    assert tuple(_qint_mul(a, b, n)) == _mod_qint_oracle(_list_mul(a, b), n)
 
 
 @pytest.mark.parametrize("family", ["c", "cp"])
@@ -908,7 +886,8 @@ def test_failing_folded_residue_is_the_full_degree_remainder(monkeypatch, family
 
 
 def test_folded_terms_share_their_products(monkeypatch):
-    # one multiply per cyclotomic factor would be sum_k sum_d m_k(d) products
+    # one multiply per cyclotomic factor would be sum_k sum_d m_k(d) products;
+    # the chain plan of both families at n = 45 takes exactly 2,917
     n, calls = 45, []
     real = sums._cyclic_mul
     monkeypatch.setattr(sums, "_cyclic_mul", lambda a, b, m: calls.append(m) or real(a, b, m))
@@ -917,6 +896,36 @@ def test_folded_terms_share_their_products(monkeypatch):
         _folded_terms.__wrapped__(family, n)
         factors += sum(sum(m.values()) for _, _, m in _image_exponents(family, n))
     assert 0 < len(calls) < factors / 5
+    assert len(calls) == 2917
+
+
+@pytest.mark.parametrize("family", ["c", "cp"])
+def test_folded_terms_split_the_numerator_exponents(monkeypatch, family):
+    # the chain plan gets one row m_k = e(k) + L per term, a column per
+    # cyclotomic index, ascending: the exponents over the common denominator
+    n, seen = 21, []
+    real = sums._chain_split
+    monkeypatch.setattr(sums, "_chain_split", lambda rows: seen.append(rows) or real(rows))
+    _folded_terms.__wrapped__(family, n)
+    ms = [m for _, _, m in _image_exponents(family, n)]
+    ds = sorted(set().union(*ms))
+    assert seen == [[[m.get(d, 0) for d in ds] for m in ms]]
+
+
+def test_folded_terms_build_no_counter(monkeypatch):
+    # the folded build reads the cached exponent tuples into dense rows;
+    # a Counter anywhere in it would be bookkeeping the rows replace
+    n = 45
+    for family in ("c", "cp"):
+        for k in range(n):
+            _reduced_term(family, k)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the folded build made a Counter")
+
+    monkeypatch.setattr(sums, "Counter", refuse)
+    for family in ("c", "cp"):
+        assert _folded_terms.__wrapped__(family, n) == _folded_terms(family, n)
 
 
 def test_local_terms_share_their_products(monkeypatch):
@@ -936,7 +945,6 @@ def test_local_terms_share_their_products(monkeypatch):
         monkeypatch.setattr(sums, "_cyclic_mul", lambda a, b, d: products.append(d) or real_mul(a, b, d))
         monkeypatch.setattr(sums, "_rotate", lambda a, e: rotations.append(e) or real_rotate(a, e))
         monkeypatch.setattr(sums, "_chain_split", refuse)
-        monkeypatch.setattr(sums, "_chain_products", refuse)
         images = _local_images.__wrapped__(family, n)
         monkeypatch.undo()
         terms = [sums._term_binomials(family, k) for k in range(n)]
