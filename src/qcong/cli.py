@@ -8,13 +8,13 @@ Each claim is one table entry, in claim order: an identity's first
 instance and its two sides, or a congruence's instances up to --limit.
 Records stream as each instance completes, in claim then instance
 order whatever the --id order or --jobs; a repeated --id runs once.
-One record per instance; json output is newline-delimited.  The process
-pool, and the multiprocessing modules under it, load only when more than
-one worker runs, so a --jobs 1 scan starts without them.  Exit codes:
-0 when every checked instance holds, 1 when any fails, 2 on usage
-errors (an --out that cannot be opened among them), 3 on an internal
-inconsistency (records already written stay), 141 when the reader
-closes the output early (the status a shell gives SIGPIPE).
+One record per instance, timed around its check; json output is
+newline-delimited.  The process pool and the multiprocessing modules
+under it load only when more than one worker runs, so a --jobs 1 scan
+starts without them.  Exit codes: 0 when every checked instance holds,
+1 when any fails, 2 on usage errors (an --out that cannot be opened
+among them), 3 on an internal inconsistency (records already written
+stay), 141 when the reader closes the output early (a shell's SIGPIPE status).
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ def _fmt(value) -> str:
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
-def _record(claim: str, instance: int, holds: bool, lhs, rhs, modulus: str, ms: int) -> dict:
-    # holds is lhs == rhs for every claim, and equal values print the same text
+def _record(claim: str, instance: int, lhs, rhs, modulus: str, ms: int) -> dict:
+    # an instance holds iff lhs == rhs, for every claim, and equal values print the same text
+    holds = lhs == rhs
     lhs_text = _fmt(lhs)
     rhs_text = lhs_text if holds else _fmt(rhs)
     return dict(zip(FIELDS, (claim, instance, holds, lhs_text, rhs_text, modulus, ms)))
@@ -78,21 +79,15 @@ def _identity_instance(args: tuple[str, int]) -> dict:
     t0 = time.perf_counter()
     lhs, rhs = _IDENTITIES[claim][1](n)
     ms = round((time.perf_counter() - t0) * 1000)
-    return _record(claim, n, lhs == rhs, lhs, rhs, "exact", ms)
+    return _record(claim, n, lhs, rhs, "exact", ms)
 
 
 def _congruence_instance(args: tuple[str, int]) -> dict:
     claim, instance = args
-    report = getattr(congruence, f"check_{claim}")(instance)
-    return _record(
-        report.claim_id,
-        report.instance,
-        report.holds,
-        report.lhs_residue,
-        report.rhs_residue,
-        report.modulus_description,
-        report.elapsed_ms,
-    )
+    t0 = time.perf_counter()
+    r = getattr(congruence, f"check_{claim}")(instance)
+    ms = round((time.perf_counter() - t0) * 1000)
+    return _record(claim, instance, r.lhs_residue, r.rhs_residue, r.modulus_description, ms)
 
 
 def _run(worker, instances: list, jobs: int):

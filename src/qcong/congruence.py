@@ -2,7 +2,8 @@
 
 eq1-eq4 are q-congruences: single (eq1, eq2) and double (eq3, eq4)
 partial sums of the two term families must vanish modulo [n] for odd n.
-Each check can run through two pipelines, and the verdicts must agree:
+Each check can run through two pipelines, and the verdicts must agree;
+a report is untimed, so both return the same one when the claim holds:
 
 - "folded" (the default) builds every term from its cyclotomic exponents
   over an integer common denominator coprime to [n] and works on the
@@ -49,7 +50,6 @@ inverse of the denominator, which must be coprime to m.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from .bigmath import is_odd_prime, rational_mod
@@ -69,18 +69,19 @@ from .sums import (
 class CongruenceReport(_Frozen):
     """Outcome of one congruence instance; holds iff the residues agree."""
 
-    __slots__ = ("claim_id", "instance", "holds", "lhs_residue", "rhs_residue",
-                 "modulus_description", "elapsed_ms")
+    __slots__ = ("claim_id", "instance", "lhs_residue", "rhs_residue", "modulus_description")
 
-    def __init__(self, claim_id: str, instance: int, holds: bool, lhs_residue, rhs_residue,
-                 modulus_description: str, elapsed_ms: int):
+    def __init__(self, claim_id: str, instance: int, lhs_residue, rhs_residue,
+                 modulus_description: str):
         object.__setattr__(self, "claim_id", claim_id)
         object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "holds", holds)
         object.__setattr__(self, "lhs_residue", lhs_residue)
         object.__setattr__(self, "rhs_residue", rhs_residue)
         object.__setattr__(self, "modulus_description", modulus_description)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs_residue == self.rhs_residue
 
 
 def _require_odd_prime(p: int) -> None:
@@ -90,7 +91,6 @@ def _require_odd_prime(p: int) -> None:
 
 def _prime_power_report(claim_id: str, p: int, weight: Fraction, rhs_value, square: bool) -> CongruenceReport:
     _require_odd_prime(p)
-    t0 = time.perf_counter()
     s = double_sum(p, weight)
     cross = special_q_neg_half(p) if weight == Fraction(-1, 8) else special_q_one(p)
     if s != cross:
@@ -103,11 +103,9 @@ def _prime_power_report(claim_id: str, p: int, weight: Fraction, rhs_value, squa
     return CongruenceReport(
         claim_id=claim_id,
         instance=p,
-        holds=lhs == rhs,
         lhs_residue=lhs,
         rhs_residue=rhs,
         modulus_description=f"p^2 = {m}" if square else f"p = {m}",
-        elapsed_ms=round((time.perf_counter() - t0) * 1000),
     )
 
 
@@ -136,7 +134,6 @@ def _q_congruence_report(claim_id: str, term, n: int, double: bool, method: str)
         raise ValueError(f"{claim_id} needs n >= 1, got {n}")
     if n % 2 == 0:
         raise EvenN(f"{claim_id} is only asserted for odd n, got {n}")
-    t0 = time.perf_counter()
     if method == "folded":
         fold = folded_double_sum_residue if double else folded_single_sum_residue
         residue = fold(term, n)
@@ -147,11 +144,9 @@ def _q_congruence_report(claim_id: str, term, n: int, double: bool, method: str)
     return CongruenceReport(
         claim_id=claim_id,
         instance=n,
-        holds=residue.is_zero,
         lhs_residue=residue,
         rhs_residue=ZERO,
         modulus_description=f"[{n}]",
-        elapsed_ms=round((time.perf_counter() - t0) * 1000),
     )
 
 

@@ -173,12 +173,47 @@ def _fold_list(cs, n: int) -> list:
     return _trim(out)
 
 
+class _Frozen:
+    """Immutable value: fields in __slots__ order, compared and hashed by value.
+
+    Each subclass sets its fields once via object.__setattr__ (a generic
+    *args/**kwargs constructor is about twice as slow) and is no tuple, so
+    no caller mistakes it for one; QPoly and QRat use only its field guards.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # QPoly
 # ---------------------------------------------------------------------------
 
 
-class QPoly:
+class QPoly(_Frozen):
     """Dense polynomial in q over the rationals, ascending exponents.
 
     The zero polynomial is the empty coefficient tuple and reports
@@ -189,9 +224,6 @@ class QPoly:
 
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", tuple(_trim([_norm(c) for c in coeffs])))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
 
     def __reduce__(self):
         return QPoly._raw, (self.coeffs,)
@@ -456,7 +488,7 @@ def fold_mod_qn_minus_1(f: QPoly, n: int) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
-class QRat:
+class QRat(_Frozen):
     """Reduced rational function in q: gcd(num, den) is a unit, den is monic."""
 
     __slots__ = ("num", "den")
@@ -470,9 +502,6 @@ class QRat:
                 num = divrem(num, g)[0]
                 den = divrem(den, g)[0]
         self._set(num, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QRat is immutable")
 
     def __reduce__(self):
         return QRat._from_reduced, (self.num, self.den)
@@ -582,50 +611,18 @@ def _as_qrat(x):
     return NotImplemented
 
 
-class _Frozen:
-    """Immutable record: fields in __slots__ order, compared and hashed by value.
-
-    Each subclass assigns its fields once in its own __init__, through
-    object.__setattr__ (a generic *args/**kwargs constructor is about
-    twice as slow), and is no tuple, so no caller mistakes it for one.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
 class Verdict(_Frozen):
-    """Outcome of one divisibility check; holds is true iff residue is zero."""
+    """Outcome of one divisibility check; holds iff the residue is zero."""
 
-    __slots__ = ("holds", "modulus", "residue")
+    __slots__ = ("modulus", "residue")
 
-    def __init__(self, holds: bool, modulus, residue):
-        object.__setattr__(self, "holds", holds)
+    def __init__(self, modulus, residue):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residue", residue)
+
+    @property
+    def holds(self) -> bool:
+        return not self.residue
 
 
 def congruent_zero_mod_qint(f, n: int) -> Verdict:
@@ -647,4 +644,4 @@ def congruent_zero_mod_qint(f, n: int) -> Verdict:
             f"denominator {den} shares a factor with [{n}]"
         )
     residue = divrem(fold_mod_qn_minus_1(num, n), modulus)[1]
-    return Verdict(holds=residue.is_zero, modulus=modulus, residue=residue)
+    return Verdict(modulus, residue)

@@ -207,9 +207,7 @@ def test_failing_instance_exits_1_and_prints_residue(capsys, monkeypatch):
     def sabotaged(p):
         r = real(p)
         if p == 7:
-            return congruence.CongruenceReport(
-                r.claim_id, r.instance, False, 4, 0, r.modulus_description, r.elapsed_ms
-            )
+            return congruence.CongruenceReport(r.claim_id, r.instance, 4, 0, r.modulus_description)
         return r
 
     monkeypatch.setattr(congruence, "check_eq5", sabotaged)
@@ -326,8 +324,8 @@ def test_record_renders_each_side_as_formatted(capsys, monkeypatch, argv):
     real = cli._record
     seen = []
 
-    def checked(claim, instance, holds, lhs, rhs, modulus, ms):
-        record = real(claim, instance, holds, lhs, rhs, modulus, ms)
+    def checked(claim, instance, lhs, rhs, modulus, ms):
+        record = real(claim, instance, lhs, rhs, modulus, ms)
         assert (record["lhs"], record["rhs"]) == (cli._fmt(lhs), cli._fmt(rhs)), (claim, instance)
         seen.append(claim)
         return record

@@ -113,18 +113,18 @@ def test_folded_and_reduced_paths_agree():
     # includes composite n = 9, where the unreduced common denominator
     # shares cyclotomic factors with [n] and reduction really matters
     for check in (check_eq1, check_eq2, check_eq3, check_eq4):
-        for n in (1, 3, 5, 7, 9):
+        for n in (1, 3, 5, 7, 9, 45):
             fast = check(n, method="folded")
             slow = check(n, method="reduced")
-            assert fast.holds == slow.holds == True, (check.__name__, n)
-            assert fast.lhs_residue.is_zero and slow.lhs_residue.is_zero
+            # a report is untimed, so both pipelines return the same value
+            assert fast == slow and hash(fast) == hash(slow), (check.__name__, n)
+            assert fast.holds and fast.lhs_residue.is_zero
 
 
 def test_report_invariant_holds_iff_residues_match():
     reports = [check_eq7(3), check_eq8(5), check_eq1(3), check_eq3(9)]
     for r in reports:
         assert r.holds == (r.lhs_residue == r.rhs_residue)
-        assert r.elapsed_ms >= 0
 
 
 def test_unknown_method_rejected():
@@ -156,11 +156,10 @@ def test_q_congruences_composite_scan():
 
 
 _RECORDS = [
-    (Verdict, ("holds", "modulus", "residue"), (False, 9, 4)),
+    (Verdict, ("modulus", "residue"), (9, 4)),
     (CongruenceReport,
-     ("claim_id", "instance", "holds", "lhs_residue", "rhs_residue", "modulus_description",
-      "elapsed_ms"),
-     ("eq5", 7, True, 0, 0, "p = 7", 3)),
+     ("claim_id", "instance", "lhs_residue", "rhs_residue", "modulus_description"),
+     ("eq5", 7, 0, 0, "p = 7")),
 ]
 
 
@@ -175,11 +174,13 @@ def test_record_classes_behave_as_frozen_dataclasses(cls, fields, values):
         cls(*values[:-1])
     with pytest.raises(TypeError):
         cls(*values, extra=1)
-    for name in (fields[0], "extra"):
+    for name in (fields[0], "holds", "extra"):
         with pytest.raises(AttributeError):
             setattr(r, name, None)
     with pytest.raises(AttributeError):
         del r.holds
+    with pytest.raises(AttributeError):
+        delattr(r, fields[-1])
     assert getattr(r, fields[0]) == values[0]
 
     class Sub(cls):
@@ -187,7 +188,9 @@ def test_record_classes_behave_as_frozen_dataclasses(cls, fields, values):
 
     # equal and hashed by field values, between instances of one class only
     assert r == cls(*values) and hash(r) == hash(cls(*values)) == hash(values)
-    assert r != cls(*(not v if f == "holds" else v for f, v in zip(fields, values)))
+    # holds is derived from the residues, so changing one flips it
+    changed = cls(*({"residue": 0, "lhs_residue": 1}.get(f, v) for f, v in zip(fields, values)))
+    assert r != changed and r.holds != changed.holds
     assert r != Sub(*values) and r != values
     args = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
     assert repr(r) == f"{cls.__name__}({args})"

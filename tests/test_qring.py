@@ -414,6 +414,19 @@ def test_qrat_zero_and_equality():
         f.num = ONE
 
 
+def test_qpoly_and_qrat_fields_cannot_be_deleted_or_replaced():
+    # ONE and ZERO are shared by every module, so a del on one would break them all
+    f = QRat(ONE, QPoly([1, 1]))
+    for value, name in ((QPoly([1, 2]), "coeffs"), (qring.ONE, "coeffs"), (qring.ZERO, "coeffs"),
+                        (f, "num"), (f, "den")):
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, ONE)
+    assert qring.ONE == 1 and qring.ZERO == 0 and qring.ONE.coeffs == (1,)
+    assert f.num == 1 and f.den == QPoly([1, 1])
+
+
 def test_qrat_zero_denominator():
     with pytest.raises(DivisionByZeroPoly):
         QRat(ONE, ZERO)

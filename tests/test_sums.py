@@ -681,6 +681,36 @@ def test_local_series_kernels_are_ring_maps(operands):
     assert _rotate(image(a), e) == image([0] * e + a)
 
 
+def cyclic_schoolbook(a, b, d):
+    out = [0] * d
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % d] += x * y
+    return out
+
+
+@st.composite
+def dense_cyclic_operands(draw):
+    # both operands dense and at least 65 long, so nza * len(b) passes the
+    # 4,096 at which _list_mul switches to packing; the oracle never packs
+    d = draw(st.integers(65, 130))
+    coeff = st.sampled_from([1, -1]) | st.integers(-60, 60).filter(bool)
+    operand = st.lists(coeff, min_size=65, max_size=d)
+    return draw(operand), draw(operand), d
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_cyclic_operands())
+@example(([1] * 130, [-1, 2] * 65, 130))
+@example(([7] * 65, [-3] * 65, 65))
+@example(([1, -1, 60, -60] * 32 + [5, 1], list(range(1, 131)), 130))
+def test_cyclic_mul_above_the_packing_threshold(operands):
+    a, b, d = operands
+    assert min(len(a), len(b)) ** 2 > 4096
+    assert _cyclic_mul(a, b, d) == cyclic_schoolbook(a, b, d)
+    assert _cyclic_mul(b, a, d) == cyclic_schoolbook(a, b, d)
+
+
 @pytest.mark.parametrize("family", ["c", "cp"])
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_valuation_verdict_negative_control(family, n):
