@@ -106,7 +106,8 @@ def _intpoly_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _all_int(cs) -> bool:
-    return all(type(c) is int for c in cs)
+    """Every coefficient is exactly an int: no bool, int subclass or Fraction."""
+    return set(map(type, cs)) <= {int}
 
 
 def _list_mul(a: list, b: list) -> list:
@@ -213,6 +214,9 @@ class _Frozen:
 # ---------------------------------------------------------------------------
 
 
+_MONOMIALS = ["", "q"]  # q^e for e < len(_MONOMIALS); QPoly.__str__ grows it
+
+
 class QPoly(_Frozen):
     """Dense polynomial in q over the rationals, ascending exponents.
 
@@ -223,7 +227,10 @@ class QPoly(_Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(_trim([_norm(c) for c in coeffs])))
+        cs = list(coeffs)
+        if not _all_int(cs):
+            cs = [_norm(c) for c in cs]
+        object.__setattr__(self, "coeffs", tuple(_trim(cs)))
 
     def __reduce__(self):
         return QPoly._raw, (self.coeffs,)
@@ -345,22 +352,21 @@ class QPoly(_Frozen):
         return bool(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = -c if c < 0 else c
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f"- {body}" if c < 0 else f"+ {body}")
+        for e in range(len(_MONOMIALS), len(cs)):
+            _MONOMIALS.append(f"q^{e}")
+        parts = [
+            f"+ {m}" if c == 1 else f"- {m}" if c == -1
+            else f"+ {c}*{m}" if c > 0 else f"- {-c}*{m}"
+            for c, m in zip(cs, _MONOMIALS)
+            if c
+        ]
+        if cs[0]:
+            parts[0] = f"+ {cs[0]}" if cs[0] > 0 else f"- {-cs[0]}"
+        first = parts[0]
+        parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
         return " ".join(parts)
 
     def __repr__(self):

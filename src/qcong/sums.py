@@ -5,10 +5,12 @@ weighted by (6j+1)(6k-6j+1), 1 or j(k-j), their closed forms, and the
 rational double sums with geometric weights x^k.  Each convolution is a
 self-convolution sum_j a_j a_(k-j) of one weight sequence a_j =
 C(2j,j) w(j), w linear in j, summed directly by _self_convolution over
-half the range, j <-> k-j, from a cached list of the a_j.  The double
-sums of one weight x = a/b share one Horner run over integer
-numerators, so each big-int product is taken once per weight for every
-n.
+half the range, j <-> k-j, from a cached list of the a_j.  The three
+weight lists share one list of the C(2j,j), grown by the exact ratio
+C(2j,j) = C(2j-2,j-1) * 2(2j-1) / j, so no binomial is recomputed.
+The double sums of one weight x = a/b share one Horner run over
+integer numerators, so each big-int product is taken once per weight
+for every n.
 
 The q side: two families of terms,
 
@@ -59,7 +61,6 @@ from itertools import accumulate
 from math import prod
 from operator import add, mul, sub
 
-from .bigmath import central_binomial
 from .errors import DenominatorNotCoprime, EvenN
 from .qring import (
     ONE,
@@ -76,12 +77,12 @@ from .qring import (
     cyclotomic,
 )
 
-_central = lru_cache(maxsize=None)(central_binomial)
-
 
 # ---------------------------------------------------------------------------
 # integer convolution sums
 # ---------------------------------------------------------------------------
+
+_central = [1]  # C(2j,j) for j < len(_central), shared by every weight; _self_convolution grows it
 
 
 @lru_cache(maxsize=None)
@@ -97,9 +98,11 @@ def _self_convolution(slope: int, intercept: int, k: int) -> int:
     j < (k+1)/2, plus the middle square a_(k/2)^2 at even k: about k/2
     big-int products over the cached weights, still a direct summation.
     """
-    a = _weights(slope, intercept)
-    for j in range(len(a), k + 1):
-        a.append(_central(j) * (slope * j + intercept))
+    a, c = _weights(slope, intercept), _central
+    if len(a) <= k:
+        for j in range(len(c), k + 1):
+            c.append(c[-1] * (4 * j - 2) // j)
+        a += [c[j] * (slope * j + intercept) for j in range(len(a), k + 1)]
     h = (k + 1) // 2
     total = 2 * sum(map(mul, a[:h], a[k : k - h : -1]))
     return total + a[h] ** 2 if k % 2 == 0 else total

@@ -89,6 +89,19 @@ def test_zero_polynomial_canonical_form():
     assert QPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert QPoly([Fraction(4, 2)]).coeffs == (2,)  # integral fractions collapse to int
     assert QPoly([True, False]).coeffs == (1,) and type(QPoly([True])[0]) is int
+
+    class Small(int):
+        pass
+
+    # an int subclass is no int to the all-int fast path, and is normalized to a plain int
+    assert QPoly([Small(3), 0, Small(-1)]).coeffs == (3, 0, -1)
+    assert all(type(c) is int for c in QPoly([Small(3), 0, Small(-1)]).coeffs)
+    assert qring._all_int([]) and qring._all_int([0, -(1 << 90)])
+    for cs in ([1, True], [Small(1)], [1, Fraction(1, 2)], [1, Fraction(2, 1)]):
+        assert not qring._all_int(cs), cs
+    assert QPoly(c for c in (5, 0, 7, 0)).coeffs == (5, 0, 7) and QPoly(iter(())).coeffs == ()
+    given_list = [2, 0, 0]
+    assert QPoly(given_list).coeffs == (2,) and given_list == [2, 0, 0]  # the caller's list is not trimmed
     with pytest.raises(TypeError):
         QPoly([1, 1.5])
     with pytest.raises(ValueError):
@@ -112,6 +125,59 @@ def test_qpoly_str():
     assert str(ZERO) == "0"
     assert str(QPoly([1, 7, 22])) == "1 + 7*q + 22*q^2"
     assert str(QPoly([-2, 0, Fraction(1, 2), -1])) == "-2 + 1/2*q^2 - q^3"
+
+
+def term_by_term_str(coeffs) -> str:
+    """The term-by-term renderer, the oracle for QPoly.__str__."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for e, c in enumerate(coeffs):
+        if not c:
+            continue
+        mag = -c if c < 0 else c
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "q" if e == 1 else f"q^{e}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(parts)
+
+
+multi_limb = 1 << 200
+str_coeffs = (
+    st.sampled_from([0, 1, -1])
+    | st.integers(-(10**6), -2)
+    | st.integers(-multi_limb, multi_limb)
+    | st.fractions(-50, 50, max_denominator=9)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 1200), st.floats(0, 1),
+       st.lists(st.tuples(st.integers(0, 1199), str_coeffs), max_size=30),
+       st.integers(2, 1200), st.integers(0, 2**32))
+@example(1200, 1.0, [(0, -1)], 2, 0)
+@example(1, 1.0, [(0, Fraction(-1, 2))], 2, 0)
+@example(3, 0.0, [(1, 1), (2, -1)], 2, 0)
+def test_qpoly_str_matches_the_term_by_term_renderer(length, density, entries, kept, seed):
+    # zeros, +-1, negative and multi-limb ints and Fractions at every position;
+    # the cached monomials are cut back to `kept`, so rendering has to grow them
+    rng = random.Random(seed)
+    pool = [1, -1, -7, 3, (1 << 70) + 3, -multi_limb, Fraction(3, 4), Fraction(-5, 2)]
+    cs = [rng.choice(pool) if rng.random() < density else 0 for _ in range(length)]
+    for i, c in entries:
+        if i < length:
+            cs[i] = c
+    del qring._MONOMIALS[kept:]
+    p = QPoly(cs)
+    assert str(p) == term_by_term_str(p.coeffs)
+    assert qring._MONOMIALS[:2] == ["", "q"]
+    assert qring._MONOMIALS[2 : p.degree + 1] == [f"q^{e}" for e in range(2, p.degree + 1)]
 
 
 def test_qpoly_evaluation_is_exact():

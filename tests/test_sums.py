@@ -257,6 +257,51 @@ def test_conv_sums_match_direct_summation_through_300():
         assert weighted_conv_sum(k) == sum(c * i * j for i, j, c in pairs), k
 
 
+@pytest.fixture
+def fresh_weights(monkeypatch):
+    # an empty central-binomial list and weight lists, so the test grows them from the start
+    monkeypatch.setattr(sums, "_central", [1])
+    sums._weights.cache_clear()
+    inner_conv_sum.cache_clear()
+    yield
+    sums._weights.cache_clear()
+    inner_conv_sum.cache_clear()
+
+
+def test_central_binomial_list_is_math_comb_through_1500(fresh_weights):
+    # grown by the ratio in two steps, so the second starts from a long list
+    sums._self_convolution(0, 1, 700)
+    sums._self_convolution(6, 1, 1500)
+    assert sums._central == [math.comb(2 * j, j) for j in range(1501)]
+
+
+@pytest.mark.parametrize("first", [inner_conv_sum, plain_conv_sum, weighted_conv_sum],
+                         ids=["inner", "plain", "weighted"])
+def test_the_three_weights_share_one_central_binomial_list(fresh_weights, first):
+    central = sums._central
+    first(90)
+    assert len(central) == 91
+    for conv in (inner_conv_sum, plain_conv_sum, weighted_conv_sum):
+        conv(90)
+        assert sums._central is central and len(central) == 91
+
+
+@pytest.mark.parametrize("order", ["large_first", "small_first"])
+def test_conv_sums_match_schoolbook_in_either_call_order(fresh_weights, order):
+    ks = range(241) if order == "small_first" else range(240, -1, -1)
+    convs = [inner_conv_sum, plain_conv_sum, weighted_conv_sum]
+    for step, k in enumerate(ks):
+        pairs = [(j, k - j, math.comb(2 * j, j) * math.comb(2 * k - 2 * j, k - j)) for j in range(k + 1)]
+        expected = {
+            inner_conv_sum: sum(c * (6 * i + 1) * (6 * j + 1) for i, j, c in pairs),
+            plain_conv_sum: sum(c for _, _, c in pairs),
+            weighted_conv_sum: sum(c * i * j for i, j, c in pairs),
+        }
+        # a different weight grows the shared list first at each step
+        for conv in convs[step % 3:] + convs[: step % 3]:
+            assert conv(k) == expected[conv], (conv.__name__, k)
+
+
 def test_convolution_without_middle_term_fails_eq12_at_even_k_only():
     real = sums._self_convolution
 
