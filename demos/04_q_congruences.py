@@ -14,8 +14,9 @@ the reduced form.
 Each instance is checked through two independent pipelines:
  - folded: every term is put over one integer common denominator L, a
    product of even-index cyclotomics and so coprime to [n] for odd n,
-   and the integer numerators are multiplied in Z[q]/(q^n - 1), valid
-   because [n] | q^n - 1;
+   and the integer numerators are multiplied in Z[q]/([n]): each product
+   is taken modulo q^n - 1 and then reduced modulo [n], valid because
+   [n] | q^n - 1;
  - reduced: the sum is taken over the binomial common denominator
    D = sign * prod Phi_d^m_d, and the verdict reads the numerator's
    Phi_d-adic valuations at the d | n: [n] is the squarefree product of

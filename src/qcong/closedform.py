@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import SingularPoint
-from .qring import QPoly, QRat, _all_int, _trim
+from .qring import QPoly, QRat, _trim
 
 
 def _sparse(terms) -> QPoly:
@@ -37,19 +37,19 @@ def _sparse(terms) -> QPoly:
     return QPoly._raw(_trim(cs))
 
 
-def _exact_over(num: QPoly, r: int, sign: int) -> QRat:
-    """sign * num / (1-q)^r as a canonical QRat.
+def _exact_over(num: QPoly, r: int) -> QRat:
+    """num / (1-q)^r as a canonical QRat.
 
     When (1-q)^r divides num the quotient comes from r prefix-sum passes
     and the gcd is skipped; otherwise the generic reduction keeps the
     value exact.
     """
-    cs = num.coeffs if sign > 0 else [-c for c in num.coeffs]
+    cs = num.coeffs
     for _ in range(r):
         cs = list(accumulate(cs))
         if cs and cs.pop():
-            return QRat(num * sign, QPoly([1, -1]) ** r)
-    return QRat(QPoly._raw(cs) if _all_int(cs) else QPoly(cs))
+            return QRat(num, QPoly([1, -1]) ** r)
+    return QRat(QPoly(cs))
 
 
 def geometric_S(n: int) -> QRat:
@@ -59,7 +59,7 @@ def geometric_S(n: int) -> QRat:
     """
     if n < 1:
         raise ValueError(f"geometric_S needs n >= 1, got {n}")
-    return _exact_over(_sparse(((1, 1), (n, -n), (n + 1, n - 1))), 2, 1)
+    return _exact_over(_sparse(((1, 1), (n, -n), (n + 1, n - 1))), 2)
 
 
 def geometric_T(n: int) -> QRat:
@@ -74,7 +74,7 @@ def geometric_T(n: int) -> QRat:
     num = _sparse(
         ((1, 1), (2, 1), (n, -nn), (n + 1, 2 * nn - 2 * n - 1), (n + 2, -(n - 1) ** 2))
     )
-    return _exact_over(num, 3, 1)
+    return _exact_over(num, 3)
 
 
 def geometric_S_direct(n: int) -> QPoly:
@@ -114,13 +114,13 @@ def closed_form(n: int) -> QRat:
     at n=1 while the (1-q)^3 reading gives -1, and only the (q-1)^3
     reading reproduces the q = -1/2 and q = 1 specializations.  A
     regression test pins the other reading to -1 times this one.  The
-    numerator is halved first, so the division stays on integer
-    coefficients: each of its coefficients is even.  It is then divided
-    by (1-q)^3 = -(q-1)^3 and negated.
+    numerator N, whose coefficients are all even, is multiplied by -1/2
+    first, so the prefix-sum division stays on integers; as
+    (1-q)^3 = -(q-1)^3, -N/2 over (1-q)^3 is N over 2(q-1)^3.
     """
     if n < 1:
         raise ValueError(f"closed_form needs n >= 1, got {n}")
-    return _exact_over(closed_form_numerator(n) * Fraction(1, 2), 3, -1)
+    return _exact_over(closed_form_numerator(n) * Fraction(-1, 2), 3)
 
 
 def special_q_neg_half(n: int) -> Fraction:

@@ -232,12 +232,9 @@ class QPoly(_Frozen):
             cs = [_norm(c) for c in cs]
         object.__setattr__(self, "coeffs", tuple(_trim(cs)))
 
-    def __reduce__(self):
-        return QPoly._raw, (self.coeffs,)
-
     @classmethod
     def _raw(cls, cs) -> "QPoly":
-        """Wrap an already trimmed/normalized coefficient list (internal)."""
+        """Wrap a list built int-normalized and trimmed, so canonical by construction (internal)."""
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", tuple(cs))
         return p
@@ -269,7 +266,7 @@ class QPoly(_Frozen):
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _const(other)
+            other = QPoly([other])
         elif not isinstance(other, QPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -277,8 +274,8 @@ class QPoly(_Frozen):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = _norm(out[i] + c)
-        return QPoly._raw(_trim(out))
+            out[i] += c
+        return QPoly(out)
 
     __radd__ = __add__
 
@@ -298,7 +295,7 @@ class QPoly(_Frozen):
             return QPoly._raw([_norm(c * other) if c else 0 for c in self.coeffs])
         if not isinstance(other, QPoly):
             return NotImplemented
-        return QPoly._raw([_norm(c) for c in _list_mul(list(self.coeffs), list(other.coeffs))])
+        return QPoly(_list_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -340,7 +337,7 @@ class QPoly(_Frozen):
         if isinstance(other, QPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == _const(other).coeffs
+            return self.coeffs == QPoly([other]).coeffs
         return NotImplemented
 
     def __hash__(self):
@@ -373,11 +370,6 @@ class QPoly(_Frozen):
         return f"QPoly({list(self.coeffs)!r})"
 
 
-def _const(c) -> QPoly:
-    c = _norm(c)
-    return QPoly._raw((c,)) if c else ZERO
-
-
 ZERO = QPoly._raw(())
 ONE = QPoly._raw((1,))
 
@@ -386,7 +378,7 @@ def _as_qpoly(x) -> QPoly:
     if isinstance(x, QPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return _const(x)
+        return QPoly([x])
     raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
 
 
@@ -420,32 +412,18 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     return a.monic()
 
 
-# Nothing in the package calls _poly_inverse_mod; the benchmark's tracer
-# (perfbench/tracing.py) resolves it by name, so it and _poly_xgcd stay.
-def _poly_xgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-    """(g, s, t) with s*a + t*b = g, g the monic gcd (internal)."""
-    r0, r1 = a, b
+# Uncalled in the package; the benchmark's tracer (perfbench/tracing.py) resolves it by name.
+def _poly_inverse_mod(f: QPoly, modulus: QPoly) -> QPoly:
+    """Inverse of f modulo a polynomial coprime to it, by Euclid keeping only the cofactor of f."""
+    r0, r1 = f, modulus
     s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
     while not r1.is_zero:
         q, r = divrem(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        raise BothZero("xgcd(0, 0) is undefined")
-    scale = 1 / Fraction(r0.leading)
-    return r0 * scale, s0 * scale, t0 * scale
-
-
-def _poly_inverse_mod(f: QPoly, modulus: QPoly) -> QPoly:
-    """Inverse of f modulo the given polynomial; f must be coprime to it."""
-    g, s, _ = _poly_xgcd(f, modulus)
-    if g.degree != 0:
-        raise DenominatorNotCoprime(
-            f"polynomial shares the factor {g} with the modulus"
-        )
-    return divrem(s, modulus)[1]
+    if r0.degree != 0:
+        raise DenominatorNotCoprime(f"polynomial shares the factor {r0.monic()} with the modulus")
+    return divrem(s0 * (1 / Fraction(r0.leading)), modulus)[1]
 
 
 def q_integer(n: int) -> QPoly:
@@ -486,7 +464,7 @@ def fold_mod_qn_minus_1(f: QPoly, n: int) -> QPoly:
     """Remainder of f modulo q^n - 1, by summing coefficients of congruent exponents."""
     if n < 1:
         raise ValueError(f"fold needs n >= 1, got {n}")
-    return QPoly._raw([_norm(c) for c in _fold_list(f.coeffs, n)])
+    return QPoly(_fold_list(f.coeffs, n))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +559,10 @@ class QRat(_Frozen):
         return QRat(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _as_qrat(other) / self
+        other = _as_qrat(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __eq__(self, other):
         other = _as_qrat(other)

@@ -595,7 +595,7 @@ def folded_single_sum_residue(term, n: int) -> QPoly:
     if n < 1:
         raise ValueError(f"folded_single_sum_residue needs n >= 1, got {n}")
     images = _folded_terms(_family_name(term), n)
-    return QPoly._raw(_trim(_term_sum(images, None, double=False)))
+    return QPoly(_term_sum(images, None, double=False))
 
 
 def folded_double_sum_residue(term, n: int) -> QPoly:
@@ -609,4 +609,4 @@ def folded_double_sum_residue(term, n: int) -> QPoly:
         raise ValueError(f"folded_double_sum_residue needs n >= 1, got {n}")
     images = _folded_terms(_family_name(term), n)
     total = _term_sum(images, partial(_qint_mul, n=n), double=True)
-    return QPoly._raw(_trim(total))
+    return QPoly(total)

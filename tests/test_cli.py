@@ -294,15 +294,15 @@ def test_pipeline_value_error_exits_3_without_traceback(capsys, monkeypatch):
 def test_closed_stdout_exits_141_quietly(jobs):
     # a reader that stops early, like `| head -1`, is neither a failed claim nor a crash
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "qcong.cli", "verify", "identity", "--max-n", "300",
          "--format", "csv", "--jobs", jobs],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.stdout.readline().startswith(b"claim,instance,")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 141
+    ) as proc:  # closes both pipes on the way out, so none is left to the garbage collector
+        assert proc.stdout.readline().startswith(b"claim,instance,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
     assert err == b""
 
 

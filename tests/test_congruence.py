@@ -199,12 +199,15 @@ def test_record_classes_behave_as_frozen_dataclasses(cls, fields, values):
 
 @pytest.mark.parametrize("value", [
     QPoly([1, 2]),
+    QPoly([Fraction(1, 3), 0, 2]),
     QRat(QPoly([1, 2]), QPoly([3, 0, 1])),
+    QRat(QPoly([Fraction(-5, 2), 1]), QPoly([1, 0, 1])),
     congruent_zero_mod_qint(QPoly([1, 2]), 3),
     check_eq1(5),
-], ids=["qpoly", "qrat", "verdict", "report"])
+], ids=["qpoly", "qpoly-fraction", "qrat", "qrat-fraction", "verdict", "report"])
 def test_values_survive_pickle_and_copy(value):
-    # immutable values cross process boundaries and are copied whole
+    # immutable values cross process boundaries and are copied whole; a
+    # polynomial unpickles through its constructor, like any outside input
     for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(clone) is type(value) and clone == value
         assert hash(clone) == hash(value)
