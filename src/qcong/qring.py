@@ -179,7 +179,8 @@ class _Frozen:
 
     Each subclass sets its fields once via object.__setattr__ (a generic
     *args/**kwargs constructor is about twice as slow) and is no tuple, so
-    no caller mistakes it for one; QPoly and QRat use only its field guards.
+    no caller mistakes it for one; QPoly and QRat use only its field guards
+    and its pickling, which loads through their constructors.
     """
 
     __slots__ = ()
@@ -486,9 +487,6 @@ class QRat(_Frozen):
                 num = divrem(num, g)[0]
                 den = divrem(den, g)[0]
         self._set(num, den)
-
-    def __reduce__(self):
-        return QRat._from_reduced, (self.num, self.den)
 
     def _set(self, num: QPoly, den: QPoly) -> "QRat":
         """Store coprime parts in canonical form: zero as 0/1, the denominator monic."""

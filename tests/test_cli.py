@@ -82,7 +82,7 @@ def test_json_output_round_trips(capsys, tmp_path):
     assert "".join(json.dumps(r) + "\n" for r in records) == text
 
 
-def test_csv_columns_mirror_json_fields(capsys):
+def test_csv_columns_mirror_json_fields(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "identity", "--id", "eq11", "--max-n", "3",
                         "--format", "csv")
     assert code == 0
@@ -90,6 +90,32 @@ def test_csv_columns_mirror_json_fields(capsys):
     assert rows[0] == ["claim", "instance", "holds", "lhs", "rhs", "modulus", "elapsed_ms"]
     assert [r[1] for r in rows[1:]] == ["1", "2", "3"]
     assert rows[2][3] == "8"  # sum at n=2 with weight (1/4)^k
+
+    # every value joined unquoted reads back as its json field, and a csv writer quotes
+    # nothing: all eight identities, the congruences, and failing eq9 polynomials and
+    # eq10/eq11 Fractions
+    scans = [(0, ("identity", "--max-n", "40")), (0, ("congruence", "--limit", "45")),
+             (1, ("identity", "--id", "eq9", "--id", "eq10", "--id", "eq11", "--max-n", "6"))]
+    for expected, argv in scans:
+        if expected:
+            # each left-hand side one instance ahead, as in test_identity_negative_controls
+            for module, attr in (cli.closedform, "closed_form"), (cli.sums, "double_sum"):
+                real = getattr(module, attr)
+                monkeypatch.setattr(module, attr, lambda n, *rest, real=real: real(n + 1, *rest))
+        code, out = run_cli(capsys, "verify", *argv, "--format", "csv")
+        assert code == expected
+        code, text = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == expected
+        rows = list(csv.reader(io.StringIO(out)))
+        records = [json.loads(line) for line in text.splitlines()]
+        assert rows[0] == list(cli.FIELDS) and len(rows) == len(records) + 1 > 1
+        assert all(len(row) == 7 for row in rows)
+        assert [row[:6] for row in rows[1:]] == [
+            [str(r[field]) for field in cli.FIELDS[:6]] for r in records]
+        assert expected == any(row[2] == "False" for row in rows[1:])
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        assert buf.getvalue() == out
 
 
 def test_jobs_do_not_change_records(capsys):
@@ -309,7 +335,7 @@ def test_closed_stdout_exits_141_quietly(jobs):
 def test_import_loads_no_pool_and_no_dataclasses():
     # a --jobs 1 scan pays only for what it runs; python -S keeps site-packages out
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "csv")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys, qcong.cli; print(*[m for m in {heavy!r} if m in sys.modules])"],

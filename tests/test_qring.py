@@ -119,6 +119,9 @@ def test_unpickling_runs_the_constructor():
     odd = QPoly._raw((Fraction(2, 1), 0))  # not canonical: only _raw can build it
     clone = pickle.loads(pickle.dumps(odd))
     assert clone.coeffs == (2,) and type(clone[0]) is int
+    # (q^2 - 1)/(q - 1), not reduced: only _from_reduced can build it
+    odd = QRat._from_reduced(QPoly([-1, 0, 1]), QPoly([-1, 1]))
+    assert pickle.loads(pickle.dumps(odd)) == QRat(QPoly([1, 1]))
 
 
 def test_shift_and_powers_reject_negative_exponents():
@@ -185,6 +188,9 @@ def test_qpoly_str_matches_the_term_by_term_renderer(length, density, entries, k
     del qring._MONOMIALS[kept:]
     p = QPoly(cs)
     assert str(p) == term_by_term_str(p.coeffs)
+    # csv records join these texts unquoted
+    assert not set(str(p)) & set(',"\r\n')
+    assert not set(str(QRat(p, QPoly([1, 3])))) & set(',"\r\n')
     assert qring._MONOMIALS[:2] == ["", "q"]
     assert qring._MONOMIALS[2 : p.degree + 1] == [f"q^{e}" for e in range(2, p.degree + 1)]
 
