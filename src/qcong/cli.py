@@ -35,14 +35,14 @@ from .qring import QPoly, QRat
 # claim -> (first instance, instance -> (lhs, rhs)), in claim order; each
 # side is looked up in its module when the instance runs
 _IDENTITIES = {
-    "eq9": (1, lambda n: (closedform.closed_form(n), QRat(closedform.reduced_double_sum_poly(n)))),
+    "eq9": (1, lambda n: (closedform.closed_form(n), closedform.reduced_double_sum_poly(n))),
     "eq10": (1, lambda n: (sums.double_sum(n, Fraction(-1, 8)), closedform.special_q_neg_half(n))),
     "eq11": (1, lambda n: (sums.double_sum(n, Fraction(1, 4)), closedform.special_q_one(n))),
     "eq12": (0, lambda k: (sums.inner_conv_sum(k), sums.inner_closed(k))),
     "eq15": (0, lambda k: (sums.plain_conv_sum(k), 4**k)),
     "eq19": (0, lambda k: (sums.weighted_conv_sum(k), 4**k * k * (k - 1) // 8)),
-    "eq21": (1, lambda n: (closedform.geometric_S(n), QRat(closedform.geometric_S_direct(n)))),
-    "eq23": (1, lambda n: (closedform.geometric_T(n), QRat(closedform.geometric_T_direct(n)))),
+    "eq21": (1, lambda n: (closedform.geometric_S(n), closedform.geometric_S_direct(n))),
+    "eq23": (1, lambda n: (closedform.geometric_T(n), closedform.geometric_T_direct(n))),
 }
 
 # claim -> its instances up to --limit: odd n for the q-congruences, odd primes otherwise

@@ -511,23 +511,15 @@ class QRat(_Frozen):
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def _plus(self, num: QPoly, den: QPoly) -> "QRat":
-        """self + num/den for reduced num/den with a monic denominator.
-
-        When either denominator is 1 the sum (N*d + n*D)/(D*d) is already
-        in lowest terms, because gcd(N + P*D, D) = gcd(N, D) = 1, so the
-        gcd is skipped.
-        """
-        total = self.num * den + num * self.den
-        if self.den == ONE or den == ONE:
-            return QRat._from_reduced(total, self.den * den)
-        return QRat(total, self.den * den)
-
     def __add__(self, other):
         other = _as_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._plus(other.num, other.den)
+        total = self.num * other.den + other.num * self.den
+        # over a denominator 1 the sum is reduced: gcd(N + P*D, D) = gcd(N, D) = 1
+        if self.den == ONE or other.den == ONE:
+            return QRat._from_reduced(total, self.den * other.den)
+        return QRat(total, self.den * other.den)
 
     __radd__ = __add__
 

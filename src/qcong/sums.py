@@ -232,7 +232,6 @@ def _family_name(term) -> str:
     raise ValueError("term must be c_q_term or cp_q_term")
 
 
-@lru_cache(maxsize=None)
 def _term_qrat(family: str, k: int) -> QRat:
     sign, qpow, exps = _reduced_term(family, k)
     num = prod((cyclotomic(d) ** e for d, e in exps if e > 0), start=ONE)
@@ -335,20 +334,18 @@ def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
 
     The denominator factors as sign * prod Phi_d^m_d with no polynomial
     arithmetic, so the gcd is found by trial-dividing the numerator by
-    each Phi_d, at most m_d times; a fold modulo q^d - 1 is a cheap
-    divisibility pre-filter since Phi_d divides q^d - 1.  The reduced
-    denominator is the product of the Phi_d^m_d left uncancelled, built
-    directly, and is monic; the sign moves to the numerator.
+    each Phi_d, at most m_d times.  The reduced denominator is the
+    product of the Phi_d^m_d left uncancelled, built directly, and is
+    monic; the sign moves to the numerator.
     """
     sign, mults = _cyclotomic_multiplicities(den_binomials)
-    for d in sorted(mults):
+    for d in mults:
         phi = list(cyclotomic(d).coeffs)
         while mults[d]:
-            folded = _fold_list(num, d)
-            if _int_divmod_unit_lead(folded, phi)[1]:
+            quo, rem = _int_divmod_unit_lead(num, phi)
+            if rem:
                 break
-            num, rem = _int_divmod_unit_lead(num, phi)
-            assert not rem, f"fold pre-filter and division disagree at d={d}"
+            num = quo
             mults[d] -= 1
     den = prod((cyclotomic(d) ** m for d, m in mults.items()), start=ONE)
     return QRat._from_reduced(QPoly._raw([sign * c for c in num]), den)

@@ -134,6 +134,17 @@ MUTANTS = [
      "    def __reduce__(self):\n        return QRat._from_reduced, (self.num, self.den)\n\n"
      "    def _set(",
      [QRING + "test_unpickling_runs_the_constructor"]),
+    # the oracle's trial division: a Phi_d divided out only when it leaves a remainder
+    ("sums.py",
+     "            if rem:\n                break\n",
+     "            if not rem:\n                break\n",
+     [SUMS + "test_q_single_sum_matches_naive[c_q_term]",
+      SUMS + "test_q_double_sum_matches_naive[c_q_term]"]),
+    # QRat addition: the gcd skipped even when neither denominator is 1
+    ("qring.py",
+     "if self.den == ONE or other.den == ONE:",
+     "if True:",
+     [QRING + "test_qrat_field_arithmetic", QRING + "test_subtraction_ring_laws"]),
     # csv records: rows ending in \n, not the \r\n of the header and of csv writers
     ("cli.py",
      'for field in FIELDS]) + "\\r\\n"',

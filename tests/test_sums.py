@@ -39,7 +39,6 @@ from qcong.sums import (
     _reduced_verdict,
     _rotate,
     _summed_numerator,
-    _term_qrat,
     c_q_term,
     cp_q_term,
     double_sum,
@@ -164,7 +163,7 @@ def patched_terms(patch):
     Every term cache is cleared on entry and on exit.
     """
     real = sums._term_binomials
-    caches = (_reduced_term, _term_qrat, _folded_terms, _assembled_numerators, _local_images)
+    caches = (_reduced_term, _folded_terms, _assembled_numerators, _local_images)
     for cache in caches:
         cache.cache_clear()
     sums._term_binomials = lambda family, k: patch(*real(family, k), k)
