@@ -216,6 +216,7 @@ class _Frozen:
 
 
 _MONOMIALS = ["", "q"]  # q^e for e < len(_MONOMIALS); QPoly.__str__ grows it
+_LAST = ((), "0")  # the coefficients and text QPoly.__str__ rendered last
 
 
 class QPoly(_Frozen):
@@ -350,22 +351,31 @@ class QPoly(_Frozen):
         return bool(self.coeffs)
 
     def __str__(self):
+        global _LAST
         cs = self.coeffs
-        if not cs:
-            return "0"
+        done, text = _LAST
+        # canonical coefficients fix the text, so an extension of the last one extends its text
+        start = len(done) if cs[: len(done)] == done else 0
         for e in range(len(_MONOMIALS), len(cs)):
             _MONOMIALS.append(f"q^{e}")
         parts = [
             f"+ {m}" if c == 1 else f"- {m}" if c == -1
             else f"+ {c}*{m}" if c > 0 else f"- {-c}*{m}"
-            for c, m in zip(cs, _MONOMIALS)
+            for c, m in zip(cs[start:], _MONOMIALS[start : len(cs)])
             if c
         ]
-        if cs[0]:
-            parts[0] = f"+ {cs[0]}" if cs[0] > 0 else f"- {-cs[0]}"
-        first = parts[0]
-        parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
-        return " ".join(parts)
+        if start:
+            text = " ".join([text, *parts])
+        elif not cs:
+            text = "0"
+        else:
+            if cs[0]:
+                parts[0] = f"+ {cs[0]}" if cs[0] > 0 else f"- {-cs[0]}"
+            first = parts[0]
+            parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
+            text = " ".join(parts)
+        _LAST = cs, text
+        return text
 
     def __repr__(self):
         return f"QPoly({list(self.coeffs)!r})"

@@ -562,6 +562,8 @@ def _folded_terms(family: str, n: int) -> tuple:
     def times(image: list, row) -> list:
         for phi, e in zip(phis, row):
             for _ in range(e):
+                if not image:  # already a multiple of [n], as at prime n once Phi_n enters
+                    return image
                 image = _qint_mul(image, phi, n)
         return image
 

@@ -145,6 +145,28 @@ MUTANTS = [
      "if self.den == ONE or other.den == ONE:",
      "if True:",
      [QRING + "test_qrat_field_arithmetic", QRING + "test_subtraction_ring_laws"]),
+    # the kept text extended without checking that it is a prefix
+    ("qring.py",
+     "start = len(done) if cs[: len(done)] == done else 0",
+     "start = len(done)",
+     [QRING + "test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix",
+      CLI + "test_scalar_record_stream_is_pinned[identity]"]),
+    # the kept text extended after checking all but its last coefficient
+    ("qring.py",
+     "start = len(done) if cs[: len(done)] == done else 0",
+     "start = len(done) if cs[: len(done) - 1] == done[:-1] else 0",
+     [QRING + "test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix"]),
+    # folded images: a zero image multiplied on down its chain
+    ("sums.py",
+     "                if not image:  # already a multiple of [n], as at prime n once Phi_n enters\n"
+     "                    return image\n",
+     "",
+     [SUMS + "test_folded_terms_share_their_products"]),
+    # folded images: the zero-image skip returning a nonzero image
+    ("sums.py",
+     "                    return image\n                image = _qint_mul(image, phi, n)",
+     "                    return [1]\n                image = _qint_mul(image, phi, n)",
+     [FOLDED_IMAGES]),
     # csv records: rows ending in \n, not the \r\n of the header and of csv writers
     ("cli.py",
      'for field in FIELDS]) + "\\r\\n"',
@@ -164,6 +186,11 @@ EQUIVALENT = [
      "c.append(c[-1] * (4 * j - 2) // j)",
      "c.append(c[-1] // j * (4 * j - 2))",
      "C(2j-2, j-1)/j is the Catalan number C_(j-1), so the division is always exact"),
+    ("qring.py",
+     "        _LAST = cs, text\n",
+     "",
+     "with no pair kept every polynomial renders from scratch, as an extension's "
+     "text equals a fresh render; only the speed changes"),
 ]
 
 

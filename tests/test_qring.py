@@ -195,6 +195,57 @@ def test_qpoly_str_matches_the_term_by_term_renderer(length, density, entries, k
     assert qring._MONOMIALS[2 : p.degree + 1] == [f"q^{e}" for e in range(2, p.degree + 1)]
 
 
+def test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix():
+    # QPoly.__str__ keeps the last coefficients and text it rendered and, when
+    # the next polynomial starts with them, formats only the terms after them;
+    # each step below is checked against the term-by-term renderer.
+    # (coefficients, monomials kept before the render or None, form of the step)
+    half, big = Fraction(1, 2), (1 << 70) + 3
+    steps = [
+        ([3, -1, 0, half, 7, -2], None, "start"),
+        ([3, -1, 0, half, 7, -2, 0, 5, -1], None, "extends"),
+        ([3, -1, 0, half, 7, -2, 0, 5, -1, big, 0, -1], 2, "extends, monomials cut back"),
+        ([3, -1, 0, half], None, "cut short"),
+        ([4, -1, 0, half, 9], None, "differs at the first kept coefficient"),
+        ([4, -1, 1, half, 9, -9], None, "differs at a middle one"),
+        ([4, -1, 1, half, 9, 8, 3], 4, "differs at the last kept one"),
+        ([4, -1, 1, half, 9, 8, 3], None, "equal"),
+        ([4, -1, 1, half, 9, 8, -3], None, "differs at the last one, same length"),
+        ([4, -1, 1, half, 9, 8, -3, Fraction(-5, 3), 0, Fraction(7, 2)], None, "extends by Fractions"),
+        ([4, -1, 1, half, 9, 8, -3, Fraction(-5, 3), 0, Fraction(-7, 2)], None, "a Fraction differs last"),
+        ([], None, "zero"),
+        ([0, 0, 1], None, "after zero"),
+        ([0, 0, 1, -1], 3, "extends a text with no constant term"),
+        ([-half], None, "a Fraction constant"),
+        ([-half, 1], None, "extends a constant"),
+        ([half, 1, 1], None, "differs at the first, a constant before"),
+        ([0], None, "zero again"),
+        ([-1], None, "after zero again"),
+    ]
+    for coeffs, kept, form in steps:
+        if kept is not None:
+            del qring._MONOMIALS[kept:]
+        p = QPoly(coeffs)
+        assert str(p) == term_by_term_str(p.coeffs), form
+    # a random walk over the same forms, as a scan would render its records
+    rng = random.Random(0)
+    cs = []
+    for _ in range(400):
+        form = rng.randrange(6)
+        if form == 0 or not cs:
+            cs = cs + [rng.choice([0, 1, -1, 2, -3, half, big]) for _ in range(rng.randint(1, 4))]
+        elif form == 1:
+            cs = cs[: rng.randrange(len(cs))]
+        elif form == 2:
+            cs[rng.randrange(len(cs))] += rng.choice([1, -1, half])
+        elif form == 3:
+            del qring._MONOMIALS[rng.randint(2, 6):]
+        elif form == 4:
+            cs = []
+        p = QPoly(cs)
+        assert str(p) == term_by_term_str(p.coeffs)
+
+
 def test_qpoly_evaluation_is_exact():
     p = QPoly([1, Fraction(-3, 2), 5])
     assert p(Fraction(1, 3)) == 1 - Fraction(1, 2) + Fraction(5, 9)
