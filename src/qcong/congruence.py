@@ -84,13 +84,9 @@ class CongruenceReport(_Frozen):
         return self.lhs_residue == self.rhs_residue
 
 
-def _require_odd_prime(p: int) -> None:
+def _prime_power_report(claim_id: str, p: int, weight: Fraction, rhs_value, square: bool) -> CongruenceReport:
     if not is_odd_prime(p):
         raise NotOddPrime(f"instance must be an odd prime, got {p}")
-
-
-def _prime_power_report(claim_id: str, p: int, weight: Fraction, rhs_value, square: bool) -> CongruenceReport:
-    _require_odd_prime(p)
     s = double_sum(p, weight)
     cross = special_q_neg_half(p) if weight == Fraction(-1, 8) else special_q_one(p)
     if s != cross:

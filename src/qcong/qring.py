@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from .errors import BothZero, DenominatorNotCoprime, DivisionByZeroPoly
 
 
 def _norm(c):
     """Collapse integral Fractions to int so integer inputs stay on the fast path."""
-    if type(c) is int:
-        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
@@ -132,16 +131,7 @@ def _product_of_binomials(factors) -> list[int]:
     """Expand the product of (1 - s*q^m) factors given as (s, m) pairs."""
     c = [1]
     for s, m in factors:
-        nc = list(c) + [0] * m
-        if s == 1:
-            for i, v in enumerate(c):
-                if v:
-                    nc[i + m] -= v
-        else:
-            for i, v in enumerate(c):
-                if v:
-                    nc[i + m] += v
-        c = _trim(nc)
+        c = _trim(list(map(sub if s == 1 else add, c + [0] * m, [0] * m + c)))
     return c
 
 
@@ -215,8 +205,7 @@ class _Frozen:
 # ---------------------------------------------------------------------------
 
 
-_MONOMIALS = ["", "q"]  # q^e for e < len(_MONOMIALS); QPoly.__str__ grows it
-_LAST = ((), "0")  # the coefficients and text QPoly.__str__ rendered last
+_LAST = ((), "0")  # coefficients and text QPoly.__str__ rendered last; replaced as one pair
 
 
 class QPoly(_Frozen):
@@ -356,13 +345,12 @@ class QPoly(_Frozen):
         done, text = _LAST
         # canonical coefficients fix the text, so an extension of the last one extends its text
         start = len(done) if cs[: len(done)] == done else 0
-        for e in range(len(_MONOMIALS), len(cs)):
-            _MONOMIALS.append(f"q^{e}")
         parts = [
             f"+ {m}" if c == 1 else f"- {m}" if c == -1
             else f"+ {c}*{m}" if c > 0 else f"- {-c}*{m}"
-            for c, m in zip(cs[start:], _MONOMIALS[start : len(cs)])
+            for e, c in enumerate(cs[start:], start)
             if c
+            for m in ["q" if e == 1 else f"q^{e}"]
         ]
         if start:
             text = " ".join([text, *parts])

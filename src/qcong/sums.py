@@ -100,9 +100,11 @@ def _self_convolution(slope: int, intercept: int, k: int) -> int:
     """
     a, c = _weights(slope, intercept), _central
     if len(a) <= k:
+        # entry j is written at index j, so threads growing one list write equal values to it
         for j in range(len(c), k + 1):
-            c.append(c[-1] * (4 * j - 2) // j)
-        a += [c[j] * (slope * j + intercept) for j in range(len(a), k + 1)]
+            c[j : j + 1] = [c[j - 1] * (4 * j - 2) // j]
+        for j in range(len(a), k + 1):
+            a[j : j + 1] = [c[j] * (slope * j + intercept)]
     h = (k + 1) // 2
     total = 2 * sum(map(mul, a[:h], a[k : k - h : -1]))
     return total + a[h] ** 2 if k % 2 == 0 else total
@@ -164,7 +166,7 @@ def double_sum(n: int, x) -> Fraction:
     a, b = x.numerator, x.denominator
     nums = _horner_numerators(a, b)
     for k in range(len(nums), n):
-        nums.append((nums[-1] * b if nums else 0) + inner_conv_sum(k) * a**k)
+        nums[k : k + 1] = [(nums[k - 1] * b if k else 0) + inner_conv_sum(k) * a**k]
     return Fraction(nums[n - 1], b ** (n - 1))
 
 

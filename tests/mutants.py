@@ -36,6 +36,9 @@ LOCAL_IMAGES = SUMS + "test_local_images_are_the_leading_local_coefficients"
 SIGN_FLIPS = SUMS + "test_reduced_verdict_matches_oracle_on_sign_flips"
 FOLDED_IMAGES = SUMS + "test_folded_images_match_full_degree_products"
 CENTRAL = SUMS + "test_central_binomial_list_is_math_comb_through_1500"
+THREADED_MEMOS = SUMS + "test_memos_grown_by_threads_hold_exact_values"
+RENDERER = QRING + "test_qpoly_str_matches_the_term_by_term_renderer"
+EXTENDS = QRING + "test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix"
 
 MUTANTS = [
     # reduced images: the prefix chain one Pochhammer binomial too long
@@ -104,17 +107,17 @@ MUTANTS = [
      [SUMS + "test_cyclic_mul_above_the_packing_threshold"]),
     # central binomials: the ratio C(2j, j) / C(2j-2, j-1) off by one, twice
     ("sums.py",
-     "c.append(c[-1] * (4 * j - 2) // j)",
-     "c.append(c[-1] * (4 * j - 2) // (j + 1))",
+     "c[j : j + 1] = [c[j - 1] * (4 * j - 2) // j]",
+     "c[j : j + 1] = [c[j - 1] * (4 * j - 2) // (j + 1)]",
      [CENTRAL]),
     ("sums.py",
-     "c.append(c[-1] * (4 * j - 2) // j)",
-     "c.append(c[-1] * (4 * j + 2) // (j + 1))",
+     "c[j : j + 1] = [c[j - 1] * (4 * j - 2) // j]",
+     "c[j : j + 1] = [c[j - 1] * (4 * j + 2) // (j + 1)]",
      [CENTRAL]),
     # central binomials: the floor taken before the multiply
     ("sums.py",
-     "c.append(c[-1] * (4 * j - 2) // j)",
-     "c.append(c[-1] * ((4 * j - 2) // j))",
+     "c[j : j + 1] = [c[j - 1] * (4 * j - 2) // j]",
+     "c[j : j + 1] = [c[j - 1] * ((4 * j - 2) // j)]",
      [CENTRAL]),
     # QPoly: trailing zeros kept
     ("qring.py",
@@ -149,13 +152,12 @@ MUTANTS = [
     ("qring.py",
      "start = len(done) if cs[: len(done)] == done else 0",
      "start = len(done)",
-     [QRING + "test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix",
-      CLI + "test_scalar_record_stream_is_pinned[identity]"]),
+     [EXTENDS, CLI + "test_scalar_record_stream_is_pinned[identity]"]),
     # the kept text extended after checking all but its last coefficient
     ("qring.py",
      "start = len(done) if cs[: len(done)] == done else 0",
      "start = len(done) if cs[: len(done) - 1] == done[:-1] else 0",
-     [QRING + "test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix"]),
+     [EXTENDS]),
     # folded images: a zero image multiplied on down its chain
     ("sums.py",
      "                if not image:  # already a multiple of [n], as at prime n once Phi_n enters\n"
@@ -167,6 +169,41 @@ MUTANTS = [
      "                    return image\n                image = _qint_mul(image, phi, n)",
      "                    return [1]\n                image = _qint_mul(image, phi, n)",
      [FOLDED_IMAGES]),
+    # central binomials: grown by append, so a thread that lags behind misplaces its entries
+    ("sums.py",
+     "c[j : j + 1] = [c[j - 1] * (4 * j - 2) // j]",
+     "c.append(c[-1] * (4 * j - 2) // j)",
+     [THREADED_MEMOS]),
+    # weights: grown by one list extension, as the central binomials above
+    ("sums.py",
+     "        for j in range(len(a), k + 1):\n            a[j : j + 1] = [c[j] * (slope * j + intercept)]\n",
+     "        a += [c[j] * (slope * j + intercept) for j in range(len(a), k + 1)]\n",
+     [THREADED_MEMOS]),
+    # Horner numerators: grown by append, as the central binomials above
+    ("sums.py",
+     "nums[k : k + 1] = [(nums[k - 1] * b if k else 0) + inner_conv_sum(k) * a**k]",
+     "nums.append((nums[-1] * b if nums else 0) + inner_conv_sum(k) * a**k)",
+     [THREADED_MEMOS]),
+    # QPoly text: the monomial q rendered as q^1
+    ("qring.py",
+     'for m in ["q" if e == 1 else f"q^{e}"]',
+     'for m in [f"q^{e}"]',
+     [RENDERER, EXTENDS]),
+    # binomial products: 1 - q^m and 1 + q^m swapped
+    ("qring.py",
+     "sub if s == 1 else add",
+     "add if s == 1 else sub",
+     [QRING + "test_q_pochhammer_examples", QRING + "test_q_pochhammer_against_factor_products"]),
+    # coefficients: an int subclass kept as it is, not normalized to int
+    ("qring.py",
+     "    if isinstance(c, int):\n        return int(c)\n",
+     "    if isinstance(c, int):\n        return c\n",
+     [QRING + "test_zero_polynomial_canonical_form"]),
+    # eq5..eq8: any instance accepted, prime or not
+    ("congruence.py",
+     "    if not is_odd_prime(p):\n        raise NotOddPrime",
+     "    if False:\n        raise NotOddPrime",
+     ["tests/test_congruence.py::test_non_odd_prime_instances_rejected"]),
     # csv records: rows ending in \n, not the \r\n of the header and of csv writers
     ("cli.py",
      'for field in FIELDS]) + "\\r\\n"',
@@ -183,8 +220,8 @@ EQUIVALENT = [
      "every column still ends at m_k - min_j m_j = e_k + L_d and no image or verdict moves; "
      "only test_folded_terms_split_the_numerator_exponents, which pins the rows, sees it"),
     ("sums.py",
-     "c.append(c[-1] * (4 * j - 2) // j)",
-     "c.append(c[-1] // j * (4 * j - 2))",
+     "c[j : j + 1] = [c[j - 1] * (4 * j - 2) // j]",
+     "c[j : j + 1] = [c[j - 1] // j * (4 * j - 2)]",
      "C(2j-2, j-1)/j is the Catalan number C_(j-1), so the division is always exact"),
     ("qring.py",
      "        _LAST = cs, text\n",

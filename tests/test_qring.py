@@ -2,6 +2,8 @@
 
 import pickle
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 
@@ -172,66 +174,60 @@ str_coeffs = (
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 1200), st.floats(0, 1),
        st.lists(st.tuples(st.integers(0, 1199), str_coeffs), max_size=30),
-       st.integers(2, 1200), st.integers(0, 2**32))
-@example(1200, 1.0, [(0, -1)], 2, 0)
-@example(1, 1.0, [(0, Fraction(-1, 2))], 2, 0)
-@example(3, 0.0, [(1, 1), (2, -1)], 2, 0)
-def test_qpoly_str_matches_the_term_by_term_renderer(length, density, entries, kept, seed):
-    # zeros, +-1, negative and multi-limb ints and Fractions at every position;
-    # the cached monomials are cut back to `kept`, so rendering has to grow them
+       st.integers(0, 2**32))
+@example(1200, 1.0, [(0, -1)], 0)
+@example(1, 1.0, [(0, Fraction(-1, 2))], 0)
+@example(3, 0.0, [(1, 1), (2, -1)], 0)
+def test_qpoly_str_matches_the_term_by_term_renderer(length, density, entries, seed):
+    # zeros, +-1, negative and multi-limb ints and Fractions at every position
     rng = random.Random(seed)
     pool = [1, -1, -7, 3, (1 << 70) + 3, -multi_limb, Fraction(3, 4), Fraction(-5, 2)]
     cs = [rng.choice(pool) if rng.random() < density else 0 for _ in range(length)]
     for i, c in entries:
         if i < length:
             cs[i] = c
-    del qring._MONOMIALS[kept:]
     p = QPoly(cs)
     assert str(p) == term_by_term_str(p.coeffs)
     # csv records join these texts unquoted
     assert not set(str(p)) & set(',"\r\n')
     assert not set(str(QRat(p, QPoly([1, 3])))) & set(',"\r\n')
-    assert qring._MONOMIALS[:2] == ["", "q"]
-    assert qring._MONOMIALS[2 : p.degree + 1] == [f"q^{e}" for e in range(2, p.degree + 1)]
 
 
 def test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix():
     # QPoly.__str__ keeps the last coefficients and text it rendered and, when
     # the next polynomial starts with them, formats only the terms after them;
     # each step below is checked against the term-by-term renderer.
-    # (coefficients, monomials kept before the render or None, form of the step)
+    # (coefficients, form of the step)
     half, big = Fraction(1, 2), (1 << 70) + 3
     steps = [
-        ([3, -1, 0, half, 7, -2], None, "start"),
-        ([3, -1, 0, half, 7, -2, 0, 5, -1], None, "extends"),
-        ([3, -1, 0, half, 7, -2, 0, 5, -1, big, 0, -1], 2, "extends, monomials cut back"),
-        ([3, -1, 0, half], None, "cut short"),
-        ([4, -1, 0, half, 9], None, "differs at the first kept coefficient"),
-        ([4, -1, 1, half, 9, -9], None, "differs at a middle one"),
-        ([4, -1, 1, half, 9, 8, 3], 4, "differs at the last kept one"),
-        ([4, -1, 1, half, 9, 8, 3], None, "equal"),
-        ([4, -1, 1, half, 9, 8, -3], None, "differs at the last one, same length"),
-        ([4, -1, 1, half, 9, 8, -3, Fraction(-5, 3), 0, Fraction(7, 2)], None, "extends by Fractions"),
-        ([4, -1, 1, half, 9, 8, -3, Fraction(-5, 3), 0, Fraction(-7, 2)], None, "a Fraction differs last"),
-        ([], None, "zero"),
-        ([0, 0, 1], None, "after zero"),
-        ([0, 0, 1, -1], 3, "extends a text with no constant term"),
-        ([-half], None, "a Fraction constant"),
-        ([-half, 1], None, "extends a constant"),
-        ([half, 1, 1], None, "differs at the first, a constant before"),
-        ([0], None, "zero again"),
-        ([-1], None, "after zero again"),
+        ([3, -1, 0, half, 7, -2], "start"),
+        ([3, -1, 0, half, 7, -2, 0, 5, -1], "extends"),
+        ([3, -1, 0, half, 7, -2, 0, 5, -1, big, 0, -1], "extends again"),
+        ([3, -1, 0, half], "cut short"),
+        ([4, -1, 0, half, 9], "differs at the first kept coefficient"),
+        ([4, -1, 1, half, 9, -9], "differs at a middle one"),
+        ([4, -1, 1, half, 9, 8, 3], "differs at the last kept one"),
+        ([4, -1, 1, half, 9, 8, 3], "equal"),
+        ([4, -1, 1, half, 9, 8, -3], "differs at the last one, same length"),
+        ([4, -1, 1, half, 9, 8, -3, Fraction(-5, 3), 0, Fraction(7, 2)], "extends by Fractions"),
+        ([4, -1, 1, half, 9, 8, -3, Fraction(-5, 3), 0, Fraction(-7, 2)], "a Fraction differs last"),
+        ([], "zero"),
+        ([0, 0, 1], "after zero"),
+        ([0, 0, 1, -1], "extends a text with no constant term"),
+        ([-half], "a Fraction constant"),
+        ([-half, 1], "extends a constant"),
+        ([half, 1, 1], "differs at the first, a constant before"),
+        ([0], "zero again"),
+        ([-1], "after zero again"),
     ]
-    for coeffs, kept, form in steps:
-        if kept is not None:
-            del qring._MONOMIALS[kept:]
+    for coeffs, form in steps:
         p = QPoly(coeffs)
         assert str(p) == term_by_term_str(p.coeffs), form
     # a random walk over the same forms, as a scan would render its records
     rng = random.Random(0)
     cs = []
     for _ in range(400):
-        form = rng.randrange(6)
+        form = rng.randrange(5)
         if form == 0 or not cs:
             cs = cs + [rng.choice([0, 1, -1, 2, -3, half, big]) for _ in range(rng.randint(1, 4))]
         elif form == 1:
@@ -239,11 +235,29 @@ def test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix():
         elif form == 2:
             cs[rng.randrange(len(cs))] += rng.choice([1, -1, half])
         elif form == 3:
-            del qring._MONOMIALS[rng.randint(2, 6):]
-        elif form == 4:
             cs = []
         p = QPoly(cs)
         assert str(p) == term_by_term_str(p.coeffs)
+
+
+def test_qpoly_str_under_threads_matches_the_term_by_term_renderer():
+    # four threads render their own extending polynomials, so each replaces
+    # the kept pair the others read; every text must still be exact
+    def render(i):
+        cs = [i + 1]
+        for k in range(300):
+            cs.append((-1) ** k * (k % 5) + Fraction(i, 3))
+            p = QPoly(cs)
+            assert str(p) == term_by_term_str(p.coeffs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for future in [pool.submit(render, i) for i in range(4)]:
+                future.result()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_qpoly_evaluation_is_exact():

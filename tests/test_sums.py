@@ -3,12 +3,15 @@
 import contextlib
 import math
 import operator
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcong.bigmath import is_odd_prime
+from qcong.closedform import special_q_neg_half
 from qcong.errors import DenominatorNotCoprime, EvenN
 from qcong.qring import (
     ONE,
@@ -283,6 +286,35 @@ def test_the_three_weights_share_one_central_binomial_list(fresh_weights, first)
     for conv in (inner_conv_sum, plain_conv_sum, weighted_conv_sum):
         conv(90)
         assert sums._central is central and len(central) == 91
+
+
+def test_memos_grown_by_threads_hold_exact_values(fresh_weights):
+    # threads switching every microsecond grow the central binomials, three
+    # weight lists and one Horner run together; each writes entry j at index
+    # j, so a thread that lags behind rewrites equal values and none is misplaced
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            sums._central[1:] = []
+            sums._weights.cache_clear()
+            inner_conv_sum.cache_clear()
+            sums._horner_numerators.cache_clear()
+
+            def grow(i):
+                plain_conv_sum(400 + i)
+                weighted_conv_sum(380 + i)
+                double_sum(299 - i, Fraction(-1, 8))
+
+            with ThreadPoolExecutor(4) as pool:
+                for future in [pool.submit(grow, i) for i in range(4)]:
+                    future.result()
+            assert sums._central == [math.comb(2 * j, j) for j in range(len(sums._central))]
+            assert all(inner_conv_sum(k) == inner_closed(k) for k in range(420))
+            assert all(double_sum(n, Fraction(-1, 8)) == special_q_neg_half(n) for n in range(1, 300))
+    finally:
+        sys.setswitchinterval(interval)
+        sums._horner_numerators.cache_clear()
 
 
 @pytest.mark.parametrize("order", ["large_first", "small_first"])
