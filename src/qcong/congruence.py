@@ -25,17 +25,21 @@ reading a term exponent or factoring a binomial: m_d and each c_k count
 the binomials whose own local series has a vanishing constant term.
 They share only the division kernel, the product kernel in
 Z[x]/(x^d - 1) and its rotation (sums._cyclic_mul and sums._rotate,
-followed on the folded path by a reduction modulo [n]), and the prefix
-sums that turn a double sum into n products (sums._term_sum), which
-pair-sum oracles check on each path.  The product kernel is
-tested against schoolbook products folded, and oracles that never call
-it check each path's numerators: the folded images against full
-products of cyclotomic powers folded (_fold_list) and divided by [n],
-the depth-1 images against the local series of the expanded numerators
-(_assembled_numerators and a depth-r series in the tests).  An error in
-how either path builds, cancels or combines terms therefore shows as a
-disagreement or an oracle failure instead of being repeated by the
-other.
+followed on the folded path by a reduction modulo [n]), the big-int
+packed product (qring._intpoly_mul) that kernel runs for its dense
+products, and the prefix sums that turn a double sum into n products
+(sums._term_sum), which pair-sum oracles check on each path.  The
+oracles' own products (qring._list_mul) pack through _intpoly_mul too,
+above 4096 multiply-adds, so two checks never pack: the product kernel
+is tested against schoolbook products folded (cyclic_schoolbook in the
+tests), and _intpoly_mul against a schoolbook loop.  Oracles that
+never call the kernel check each path's numerators: the folded images
+against full products of cyclotomic powers folded (_fold_list) and
+divided by [n], the depth-1 images against the local series of the
+expanded numerators (_assembled_numerators and a depth-r series in the
+tests).  An error in how either path builds, cancels or combines terms
+therefore shows as a disagreement or an oracle failure instead of being
+repeated by the other.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
 level: writing S(x, p) for the sum over k < p of x^k times the inner

@@ -445,18 +445,39 @@ def q_pochhammer(sign: int, e: int, step: int, k: int) -> QPoly:
 def cyclotomic(n: int) -> QPoly:
     """The n-th cyclotomic polynomial (monic, integer coefficients).
 
-    Computed on integer lists as one exact division of q^n - 1 by the
-    product of the cyclotomic polynomials of the proper divisors of n;
-    the test suite cross-checks this against the Moebius product formula.
+    For n > 1, Phi_n is the Moebius product of (1 - q^e)^mu(n/e) over
+    e | n, taken as a power series in n coefficients, which is exact
+    because deg Phi_n = phi(n) < n.  mu(n/e) is nonzero only for
+    squarefree n/e, a product of distinct primes of n whose count gives
+    the sign.  Each factor is one sparse step: 1 - q^e is
+    c[i] -= c[i - e] for i descending, its inverse c[i] += c[i - e] for
+    i ascending, and the steps commute.  The test suite cross-checks the
+    product of the Phi_d over d | n against [n].
     """
     if n < 1:
         raise ValueError(f"cyclotomic needs n >= 1, got {n}")
-    den = [1]
-    for d in _divisors(n)[:-1]:
-        den = _list_mul(den, cyclotomic(d).coeffs)
-    phi, r = _int_divmod_unit_lead([-1] + [0] * (n - 1) + [1], den)
-    assert not r, f"cyclotomic division left a remainder at n={n}"
-    return QPoly._raw(phi)
+    if n == 1:
+        return QPoly._raw([-1, 1])
+    mu = {1: 1}  # squarefree divisor s of n -> mu(s)
+    m, p = n, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        if m % p == 0:
+            mu.update({s * p: -sign for s, sign in mu.items()})
+            while m % p == 0:
+                m //= p
+        p += 1
+    c = [1] + [0] * (n - 1)
+    for s, sign in mu.items():
+        e = n // s
+        if sign == 1:
+            for i in range(n - 1, e - 1, -1):
+                c[i] -= c[i - e]
+        else:
+            for i in range(e, n):
+                c[i] += c[i - e]
+    return QPoly._raw(_trim(c))
 
 
 def fold_mod_qn_minus_1(f: QPoly, n: int) -> QPoly:

@@ -71,6 +71,7 @@ from .qring import (
     _divisors,
     _fold_list,
     _int_divmod_unit_lead,
+    _intpoly_mul,
     _list_mul,
     _product_of_binomials,
     _trim,
@@ -405,10 +406,19 @@ def _cyclic_mul(a, b, d: int) -> list:
     The one product kernel of both q-congruence pipelines: for each
     nonzero a_i of the sparser operand the other, rotated by i (a slice
     of it written out twice), is added in a_i times; most coefficients
-    are +-1, which add or subtract the rotation as it is.
+    are +-1, which add or subtract the rotation as it is.  That costs
+    nnz(a) * d Python additions, so a product past 2048 of them is
+    instead packed into one big-int multiplication (_intpoly_mul),
+    folded and padded to length d.  Packing has a fixed cost of its own,
+    so below the threshold, which no product at d <= 45 reaches, the
+    slices stay faster.
     """
-    if len(a) - a.count(0) > len(b) - b.count(0):
-        a, b = b, a
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if na > nb:
+        a, b, na = b, a, nb
+    if na * d > 2048:
+        out = _fold_list(_intpoly_mul(a, b), d)
+        return out + [0] * (d - len(out))
     b = list(b) + [0] * (d - len(b))
     b += b
     out = [0] * d

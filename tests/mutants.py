@@ -39,6 +39,9 @@ CENTRAL = SUMS + "test_central_binomial_list_is_math_comb_through_1500"
 THREADED_MEMOS = SUMS + "test_memos_grown_by_threads_hold_exact_values"
 RENDERER = QRING + "test_qpoly_str_matches_the_term_by_term_renderer"
 EXTENDS = QRING + "test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix"
+PACKED_ZERO = SUMS + "test_cyclic_mul_packed_zero_image_keeps_length_d"
+CYCLOTOMIC = [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_against_mobius_oracle",
+              QRING + "test_cyclotomic_product_equals_q_integer"]
 
 MUTANTS = [
     # reduced images: the prefix chain one Pochhammer binomial too long
@@ -104,7 +107,17 @@ MUTANTS = [
      "                out = [o + c * x for o, x in zip(out, rot)]\n    return out\n",
      "                out = [o + c * x for o, x in zip(out, rot)]\n"
      "    if d > 64:\n        out[0] += 1\n    return out\n",
-     [SUMS + "test_cyclic_mul_above_the_packing_threshold"]),
+     [SUMS + "test_cyclic_mul_below_the_packing_threshold_at_large_d"]),
+    # the shared product kernel: the packed product returned unfolded
+    ("sums.py",
+     "out = _fold_list(_intpoly_mul(a, b), d)",
+     "out = _intpoly_mul(a, b)",
+     [SUMS + "test_cyclic_mul_above_the_packing_threshold", PACKED_ZERO]),
+    # the shared product kernel: the packed product returned trimmed, not padded to length d
+    ("sums.py",
+     "        return out + [0] * (d - len(out))\n",
+     "        return out\n",
+     [PACKED_ZERO]),
     # central binomials: the ratio C(2j, j) / C(2j-2, j-1) off by one, twice
     ("sums.py",
      "c[j : j + 1] = [c[j - 1] * (4 * j - 2) // j]",
@@ -199,6 +212,21 @@ MUTANTS = [
      "    if isinstance(c, int):\n        return int(c)\n",
      "    if isinstance(c, int):\n        return c\n",
      [QRING + "test_zero_polynomial_canonical_form"]),
+    # cyclotomic: a factor 1 - q^e multiplied in ascending, so it reads coefficients it already changed
+    ("qring.py",
+     "for i in range(n - 1, e - 1, -1):",
+     "for i in range(e, n):",
+     CYCLOTOMIC),
+    # cyclotomic: mu(s) not flipped by each prime of s
+    ("qring.py",
+     "mu.update({s * p: -sign for s, sign in mu.items()})",
+     "mu.update({s * p: sign for s, sign in mu.items()})",
+     CYCLOTOMIC),
+    # cyclotomic: Phi_1 returned as 1 - q
+    ("qring.py",
+     "return QPoly._raw([-1, 1])",
+     "return QPoly._raw([1, -1])",
+     [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_against_mobius_oracle"]),
     # eq5..eq8: any instance accepted, prime or not
     ("congruence.py",
      "    if not is_odd_prime(p):\n        raise NotOddPrime",
@@ -228,6 +256,11 @@ EQUIVALENT = [
      "",
      "with no pair kept every polynomial renders from scratch, as an extension's "
      "text equals a fresh render; only the speed changes"),
+    ("sums.py",
+     "if na * d > 2048:",
+     "if na * d >= 2048:",
+     "both branches are exact, so moving the threshold by one only changes "
+     "which of them computes a product at exactly 2048 additions"),
 ]
 
 

@@ -469,7 +469,9 @@ def test_cyclotomic_against_mobius_oracle():
 
 
 def test_cyclotomic_product_equals_q_integer():
-    for n in range(2, 61):
+    # cyclotomic is the Moebius product, so this is the check that does not use it;
+    # the larger n cover composites with many divisors, prime powers and 1208 = 8 * 151
+    for n in [*range(2, 61), 105, 210, 243, 256, 385, 625, 630, 832, 1208]:
         prod = ONE
         for d in divisors(n)[1:]:
             prod = prod * cyclotomic(d)

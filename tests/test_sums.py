@@ -787,6 +787,41 @@ def test_cyclic_mul_above_the_packing_threshold(operands):
     assert _cyclic_mul(b, a, d) == cyclic_schoolbook(a, b, d)
 
 
+@st.composite
+def sparse_by_dense_cyclic_operands(draw):
+    # d above 64 as above, but the sparser operand has at most 2048 // d
+    # nonzeros, so _cyclic_mul keeps its rotated-slice branch
+    d = draw(st.integers(65, 130))
+    coeff = st.sampled_from([1, -1]) | st.integers(-60, 60).filter(bool)
+    length = draw(st.integers(1, d))
+    spots = draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=2048 // d, unique=True))
+    sparse = [0] * length
+    for i in spots:
+        sparse[i] = draw(coeff)
+    return sparse, draw(st.lists(coeff, min_size=65, max_size=d)), d
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_by_dense_cyclic_operands())
+@example(([1] + [0] * 129, [1] * 130, 130))
+@example(([0] * 64 + [-7], [3, -1] * 32 + [5], 65))
+@example(([2, 0, 0, 0, 0, 0, 0, 0] * 16, list(range(-64, 64)), 128))  # 16 * 128 = 2048
+def test_cyclic_mul_below_the_packing_threshold_at_large_d(operands):
+    a, b, d = operands
+    assert (len(a) - a.count(0)) * d <= 2048
+    assert _cyclic_mul(a, b, d) == cyclic_schoolbook(a, b, d)
+    assert _cyclic_mul(b, a, d) == cyclic_schoolbook(a, b, d)
+
+
+def test_cyclic_mul_packed_zero_image_keeps_length_d():
+    # every coefficient of [1] * 65 times b is the sum of b's, here 0;
+    # 64 * 65 nonzero products take the packed branch, which trims, and must pad back
+    a, b = [1] * 65, [1, -1] * 32 + [0]
+    assert (len(b) - b.count(0)) * 65 > 2048
+    assert _cyclic_mul(a, b, 65) == [0] * 65
+    assert _cyclic_mul(b, a, 65) == [0] * 65
+
+
 @pytest.mark.parametrize("family", ["c", "cp"])
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_valuation_verdict_negative_control(family, n):
