@@ -23,22 +23,17 @@ cyclotomic; the reduced path from the term binomials, each read at
 depth 1 at the roots of unity of [n], never folding modulo q^n - 1,
 reading a term exponent or factoring a binomial: m_d and each c_k count
 the binomials whose own local series has a vanishing constant term.
-They share only the division kernel, the product kernel in
-Z[x]/(x^d - 1) and its rotation (sums._cyclic_mul and sums._rotate,
-followed on the folded path by a reduction modulo [n]), the big-int
-packed product (qring._intpoly_mul) that kernel runs for its dense
-products, and the prefix sums that turn a double sum into n products
-(sums._term_sum), which pair-sum oracles check on each path.  The
-oracles' own products (qring._list_mul) pack through _intpoly_mul too,
-above 4096 multiply-adds, so two checks never pack: the product kernel
-is tested against schoolbook products folded (cyclic_schoolbook in the
-tests), and _intpoly_mul against a schoolbook loop.  Oracles that
-never call the kernel check each path's numerators: the folded images
-against full products of cyclotomic powers folded (_fold_list) and
-divided by [n], the depth-1 images against the local series of the
-expanded numerators (_assembled_numerators and a depth-r series in the
-tests).  An error in how either path builds, cancels or combines terms
-therefore shows as a disagreement or an oracle failure instead of being
+Both take the family name, "c" or "cp", and never the oracle's terms.
+Besides the term binomials, the cyclotomics and the divisors of n, they
+share only the product kernel in Z[x]/(x^d - 1) and its rotation
+(sums._cyclic_mul, sums._rotate), the packed product and fold it runs
+on dense products (qring._intpoly_mul, qring._fold_list), and the
+prefix sums of a double sum (sums._term_sum).  Only the reduced path
+divides, by Phi_d, with qring._int_divmod_unit_lead as the oracle does.
+tests/test_independence.py checks this on the call graph of the source,
+and oracles that never call the product kernel check each path's
+numerators, so an error in how either path builds, cancels or combines
+terms shows as a disagreement or an oracle failure instead of being
 repeated by the other.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
@@ -61,8 +56,6 @@ from .closedform import special_q_neg_half, special_q_one
 from .errors import EvenN, NotOddPrime
 from .qring import ZERO, _Frozen
 from .sums import (
-    c_q_term,
-    cp_q_term,
     double_sum,
     folded_double_sum_residue,
     folded_single_sum_residue,
@@ -129,16 +122,21 @@ def check_eq8(p: int) -> CongruenceReport:
     return _prime_power_report("eq8", p, Fraction(1, 4), p, square=True)
 
 
-def _q_congruence_report(claim_id: str, term, n: int, double: bool, method: str) -> CongruenceReport:
+# claim -> (term family, double sum)
+_Q_CLAIMS = {"eq1": ("c", False), "eq2": ("cp", False), "eq3": ("c", True), "eq4": ("cp", True)}
+
+
+def _q_congruence_report(claim_id: str, n: int, method: str) -> CongruenceReport:
+    family, double = _Q_CLAIMS[claim_id]
     if n < 1:
         raise ValueError(f"{claim_id} needs n >= 1, got {n}")
     if n % 2 == 0:
         raise EvenN(f"{claim_id} is only asserted for odd n, got {n}")
     if method == "folded":
         fold = folded_double_sum_residue if double else folded_single_sum_residue
-        residue = fold(term, n)
+        residue = fold(family, n)
     elif method == "reduced":
-        residue = reduced_sum_residue(term, n, double)
+        residue = reduced_sum_residue(family, n, double)
     else:
         raise ValueError(f"method must be 'folded' or 'reduced', got {method!r}")
     return CongruenceReport(
@@ -152,19 +150,19 @@ def _q_congruence_report(claim_id: str, term, n: int, double: bool, method: str)
 
 def check_eq1(n: int, method: str = "folded") -> CongruenceReport:
     """Single sum of the alternating family vanishes mod [n], odd n."""
-    return _q_congruence_report("eq1", c_q_term, n, double=False, method=method)
+    return _q_congruence_report("eq1", n, method)
 
 
 def check_eq2(n: int, method: str = "folded") -> CongruenceReport:
     """Single sum of the non-alternating family vanishes mod [n], odd n."""
-    return _q_congruence_report("eq2", cp_q_term, n, double=False, method=method)
+    return _q_congruence_report("eq2", n, method)
 
 
 def check_eq3(n: int, method: str = "folded") -> CongruenceReport:
     """Double sum of the alternating family vanishes mod [n], odd n."""
-    return _q_congruence_report("eq3", c_q_term, n, double=True, method=method)
+    return _q_congruence_report("eq3", n, method)
 
 
 def check_eq4(n: int, method: str = "folded") -> CongruenceReport:
     """Double sum of the non-alternating family vanishes mod [n], odd n."""
-    return _q_congruence_report("eq4", cp_q_term, n, double=True, method=method)
+    return _q_congruence_report("eq4", n, method)

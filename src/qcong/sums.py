@@ -45,11 +45,11 @@ and so is coprime to [n] for odd n, and builds each numerator from the
 exponents as an integer polynomial modulo [n]: every product is taken
 modulo q^n - 1 and then reduced modulo [n], which divides it, so the
 summed images already are the residue.  Each pipeline builds its n
-term numerators once per (family, n) from its own prefix and suffix
-chains of shared factors (the folded one splits dense rows of the
-exponents over L), with one product kernel in Z[x]/(x^d - 1),
-_cyclic_mul, and its images are checked against an oracle that never
-calls it, so the two verdicts stay independent.
+term numerators once per (family, n), family "c" or "cp", from its own
+prefix and suffix chains of shared factors (the folded one splits dense
+rows of the exponents over L) with one product kernel in Z[x]/(x^d - 1),
+_cyclic_mul, checked against oracles that never call it.  What else the
+pipelines and the oracle share is pinned by tests/test_independence.py.
 """
 
 from __future__ import annotations
@@ -490,7 +490,7 @@ def _reduced_verdict(family: str, n: int, d: int, double: bool) -> list:
     return _int_divmod_unit_lead(total, cyclotomic(d).coeffs)[1]
 
 
-def reduced_sum_residue(term, n: int, double: bool) -> QPoly:
+def reduced_sum_residue(family: str, n: int, double: bool) -> QPoly:
     """Witness modulo [n] of the single or double sum, from the verdict at each d | n.
 
     [n] is the squarefree product of Phi_d over d | n, d > 1, and the rest
@@ -498,13 +498,15 @@ def reduced_sum_residue(term, n: int, double: bool) -> QPoly:
     verdict does.  Returns ZERO then, otherwise the first nonzero verdict,
     a polynomial in q of degree below phi(d); only its vanishing is
     meaningful.  Even n raises EvenN: at even d, 1 + q^m also vanishes at
-    zeta_d, and the count of vanishing binomials would miss it.
+    zeta_d, and the count of vanishing binomials would miss it.  A family
+    other than "c" or "cp" raises ValueError, also at n = 1, which has no d.
     """
+    if family not in ("c", "cp"):
+        raise ValueError(f"unknown term family {family!r}")
     if n < 1:
         raise ValueError(f"reduced_sum_residue needs n >= 1, got {n}")
     if n % 2 == 0:
         raise EvenN(f"the reduced verdict needs odd n, got {n}")
-    family = _family_name(term)
     residue = ZERO
     for d in _divisors(n)[1:]:
         coeffs = _reduced_verdict(family, n, d, double)
@@ -595,7 +597,7 @@ def _folded_terms(family: str, n: int) -> tuple:
     return tuple(images)
 
 
-def folded_single_sum_residue(term, n: int) -> QPoly:
+def folded_single_sum_residue(family: str, n: int) -> QPoly:
     """Residue modulo [n] of the single sum: the sum of the images of _folded_terms.
 
     Zero iff the sum is congruent to 0 modulo [n]; the residue is that of
@@ -605,11 +607,11 @@ def folded_single_sum_residue(term, n: int) -> QPoly:
     """
     if n < 1:
         raise ValueError(f"folded_single_sum_residue needs n >= 1, got {n}")
-    images = _folded_terms(_family_name(term), n)
+    images = _folded_terms(family, n)
     return QPoly(_term_sum(images, None, double=False))
 
 
-def folded_double_sum_residue(term, n: int) -> QPoly:
+def folded_double_sum_residue(family: str, n: int) -> QPoly:
     """Residue modulo [n] of the double sum, computed in Z[q]/([n]).
 
     The sum over i + j < n of t(i)t(j) is built by _term_sum from n
@@ -618,6 +620,6 @@ def folded_double_sum_residue(term, n: int) -> QPoly:
     """
     if n < 1:
         raise ValueError(f"folded_double_sum_residue needs n >= 1, got {n}")
-    images = _folded_terms(_family_name(term), n)
+    images = _folded_terms(family, n)
     total = _term_sum(images, partial(_qint_mul, n=n), double=True)
     return QPoly(total)

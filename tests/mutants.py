@@ -40,6 +40,9 @@ THREADED_MEMOS = SUMS + "test_memos_grown_by_threads_hold_exact_values"
 RENDERER = QRING + "test_qpoly_str_matches_the_term_by_term_renderer"
 EXTENDS = QRING + "test_qpoly_str_extends_the_last_text_only_after_an_equal_prefix"
 PACKED_ZERO = SUMS + "test_cyclic_mul_packed_zero_image_keeps_length_d"
+CLAIM_FAMILIES = "tests/test_congruence.py::test_q_claims_ask_for_their_family_and_sum"
+FULL_DEGREE = SUMS + "test_failing_folded_residue_is_the_full_degree_remainder"
+INDEPENDENCE = "tests/test_independence.py::test_pipelines_reach_only_their_own_code_and_the_shared_kernels"
 CYCLOTOMIC = [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_against_mobius_oracle",
               QRING + "test_cyclotomic_product_equals_q_integer"]
 
@@ -237,6 +240,25 @@ MUTANTS = [
      'for field in FIELDS]) + "\\r\\n"',
      'for field in FIELDS]) + "\\n"',
      [CLI + "test_csv_columns_mirror_json_fields"]),
+    # q-claims: eq4 checks the alternating family, eq1 the other one
+    ("congruence.py",
+     '"eq4": ("cp", True)',
+     '"eq4": ("c", True)',
+     [CLAIM_FAMILIES, FULL_DEGREE]),
+    ("congruence.py",
+     '"eq1": ("c", False)',
+     '"eq1": ("cp", False)',
+     [CLAIM_FAMILIES, FULL_DEGREE, SUMS + "test_single_and_double_sums_share_one_build_per_n"]),
+    # reduced images: q^qpow read from the folded path's exponent form, with equal values
+    ("sums.py",
+     "images[k] = tuple(sign * c for c in _rotate(product, qpow))",
+     "images[k] = tuple(sign * c for c in _rotate(product, _reduced_term(family, k)[1]))",
+     [INDEPENDENCE]),
+    # folded single sum: given the oracle's product as the double-sum product it never uses
+    ("sums.py",
+     "QPoly(_term_sum(images, None, double=False))",
+     "QPoly(_term_sum(images, _list_mul, double=False))",
+     [INDEPENDENCE]),
 ]
 
 # (file under src/qcong, old text, new text, why no value changes)

@@ -299,10 +299,10 @@ def test_pipeline_value_error_exits_3_without_traceback(capsys, monkeypatch):
 
     real = congruence.folded_single_sum_residue
 
-    def broken(term, n):
+    def broken(family, n):
         if n >= 3:
             raise DenominatorNotCoprime(f"Phi_3 is left in the reduced denominator of n={n}")
-        return real(term, n)
+        return real(family, n)
 
     monkeypatch.setattr(congruence, "folded_single_sum_residue", broken)
     code = main(["verify", "congruence", "--id", "eq1", "--limit", "5", "--format", "json"])

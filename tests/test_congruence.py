@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcong import congruence
 from qcong.bigmath import odd_primes_up_to, rational_mod
 from qcong.congruence import (
     CongruenceReport,
@@ -107,6 +108,24 @@ def test_q_claims_reject_even_n():
             check(4)
     with pytest.raises(ValueError):
         check_eq1(0)
+
+
+@pytest.mark.parametrize("method", ["folded", "reduced"])
+def test_q_claims_ask_for_their_family_and_sum(monkeypatch, method):
+    # both families' single and double sums vanish mod [n] at every odd n,
+    # so a claim that checks the wrong one still holds on every instance
+    asked = []
+
+    def residue(family, n, double):
+        asked.append((family, double))
+        return QPoly()
+
+    monkeypatch.setattr(congruence, "folded_single_sum_residue", lambda f, n: residue(f, n, False))
+    monkeypatch.setattr(congruence, "folded_double_sum_residue", lambda f, n: residue(f, n, True))
+    monkeypatch.setattr(congruence, "reduced_sum_residue", residue)
+    for check in (check_eq1, check_eq2, check_eq3, check_eq4):
+        assert check(7, method=method).holds
+    assert asked == [("c", False), ("cp", False), ("c", True), ("cp", True)]
 
 
 def test_folded_and_reduced_paths_agree():

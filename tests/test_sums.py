@@ -154,6 +154,9 @@ def local_residue(num, den_binomials, n):
     return next((QPoly(c) for c in local_verdicts(num, den_binomials, n).values() if c), QPoly())
 
 
+FAMILIES = {c_q_term: "c", cp_q_term: "cp"}
+
+
 def sign_flips(n):
     """Terms whose sign is flipped for the perturbed sums: the ends and the middle."""
     return sorted({0, 1, n // 2, n - 1})
@@ -461,10 +464,16 @@ def test_terms_reject_negative_k():
         _reduced_term("x", 1)
     with pytest.raises(ValueError):
         q_single_sum(abs, 3)
-    for fn in (q_single_sum, q_double_sum, folded_single_sum_residue, folded_double_sum_residue,
-               lambda term, n: reduced_sum_residue(term, n, double=False)):
+    for fn in (q_single_sum, q_double_sum):
         with pytest.raises(ValueError):
             fn(c_q_term, 0)
+    # the verdict pipelines take the family name, and refuse anything else
+    # even at n = 1, where the reduced path has no divisor to build
+    for fn in (folded_single_sum_residue, folded_double_sum_residue,
+               lambda f, n: reduced_sum_residue(f, n, double=False)):
+        for family, n in (("c", 0), ("x", 1), ("x", 3), (c_q_term, 1), (c_q_term, 3)):
+            with pytest.raises(ValueError):
+                fn(family, n)
 
 
 # --- q sums ----------------------------------------------------------------------------
@@ -510,11 +519,12 @@ def test_q_double_sum_congruence_instances():
 
 @pytest.mark.parametrize("term", [c_q_term, cp_q_term])
 def test_folded_residues_agree_with_reduced_sums(term):
+    family = FAMILIES[term]
     for n in (1, 3, 5, 7, 9):
-        assert folded_single_sum_residue(term, n).is_zero == (
+        assert folded_single_sum_residue(family, n).is_zero == (
             True if n == 1 else congruent_zero_mod_qint(q_single_sum(term, n), n).holds
         )
-        assert folded_double_sum_residue(term, n).is_zero == (
+        assert folded_double_sum_residue(family, n).is_zero == (
             True if n == 1 else congruent_zero_mod_qint(q_double_sum(term, n), n).holds
         )
 
@@ -566,7 +576,7 @@ def test_valuation_verdict_agrees_with_reduced_sums(family, term, double):
         s = build(term, n)
         num, den = _summed_numerator(family, n, double)
         num = QPoly(num)
-        assert reduced_sum_residue(term, n, double).is_zero == congruent_zero_mod_qint(s, n).holds
+        assert reduced_sum_residue(family, n, double).is_zero == congruent_zero_mod_qint(s, n).holds
         assert local_residue(num, den, n).is_zero == congruent_zero_mod_qint(s, n).holds
         # S + [n]/Phi_d vanishes modulo every Phi_e with e | n except Phi_d;
         # at n = 9, d = 3 the numerator then has exactly the Phi_3-adic
@@ -588,7 +598,7 @@ def test_valuation_verdict_agrees_with_reduced_sums(family, term, double):
 def test_local_verdict_matches_trial_division_oracle(family, term, double):
     for n in range(1, 16, 2):
         num, den = _summed_numerator(family, n, double)
-        residue = reduced_sum_residue(term, n, double)
+        residue = reduced_sum_residue(family, n, double)
         assert residue.is_zero == valuation_residue(QPoly(num), den, n).is_zero, n
         assert residue == local_residue(QPoly(num), den, n), n
         # the reference series is not vacuous: two coefficients past the
@@ -636,7 +646,7 @@ def test_reduced_verdict_matches_oracle_on_sign_flips(family, term, double):
                 expected = local_verdicts(num, den, n)
             with sign_flipped(flip):
                 assert {d: _reduced_verdict(family, n, d, double) for d in expected} == expected
-                assert reduced_sum_residue(term, n, double) == local_residue(num, den, n)
+                assert reduced_sum_residue(family, n, double) == local_residue(num, den, n)
             cases += len(expected)
             failing += sum(map(bool, expected.values()))
     assert failing > cases / 2, (failing, cases)
@@ -652,7 +662,7 @@ def test_folded_and_reduced_verdicts_agree_per_divisor_on_sign_flips(family, ter
     for n in range(3, 22, 2):
         for flip in sign_flips(n):
             with sign_flipped(flip):
-                residue = fold(term, n)
+                residue = fold(family, n)
                 for d in range(2, n + 1):
                     if n % d == 0:
                         folded = divrem(residue, cyclotomic(d))[1].is_zero
@@ -670,9 +680,9 @@ def test_pipelines_refuse_a_term_denominator_sharing_a_factor_with_q_integer(ter
     with patched_terms(lambda sign, qpow, num, den, k: (sign, qpow, num, wide if k == 0 else den)):
         for double in (False, True):
             with pytest.raises(DenominatorNotCoprime):
-                reduced_sum_residue(term, 9, double)
+                reduced_sum_residue(FAMILIES[term], 9, double)
         with pytest.raises(DenominatorNotCoprime):
-            folded_single_sum_residue(term, 9)
+            folded_single_sum_residue(FAMILIES[term], 9)
 
 
 def test_reduced_verdict_refuses_even_n():
@@ -681,7 +691,7 @@ def test_reduced_verdict_refuses_even_n():
     for n in (2, 4, 6, 10):
         for double in (False, True):
             with pytest.raises(EvenN):
-                reduced_sum_residue(c_q_term, n, double)
+                reduced_sum_residue("c", n, double)
             with pytest.raises(EvenN):
                 congruence.check_eq1(n, method="reduced")
 
@@ -767,8 +777,8 @@ def cyclic_schoolbook(a, b, d):
 
 @st.composite
 def dense_cyclic_operands(draw):
-    # both operands dense and at least 65 long, so nza * len(b) passes the
-    # 4,096 at which _list_mul switches to packing; the oracle never packs
+    # both operands dense and at least 65 long, so nnz * d passes the
+    # 2,048 at which _cyclic_mul switches to packing; the oracle never packs
     d = draw(st.integers(65, 130))
     coeff = st.sampled_from([1, -1]) | st.integers(-60, 60).filter(bool)
     operand = st.lists(coeff, min_size=65, max_size=d)
@@ -891,7 +901,7 @@ def test_folded_double_sum_pair_sum_and_negative_control(family, term, n):
             pairs = pairs + fold_mod_qn_minus_1(images[i] * images[j], n)
     residue = divrem(pairs, q_integer(n))[1]
     assert residue.is_zero
-    assert folded_double_sum_residue(term, n) == residue
+    assert folded_double_sum_residue(family, n) == residue
     # dropping the (0, 0) pair breaks the congruence
     broken = pairs - fold_mod_qn_minus_1(images[0] * images[0], n)
     assert not divrem(broken, q_integer(n))[1].is_zero
@@ -1009,7 +1019,12 @@ def test_failing_folded_residue_is_the_full_degree_remainder(monkeypatch, family
     # drop the k = 0 image; the failing record's residue must be the
     # remainder modulo [n] of the same sum built at full degree
     real = _folded_terms(family, n)
-    monkeypatch.setattr(sums, "_folded_terms", lambda f, m: ((),) + real[1:])
+
+    def without_first(f, m):
+        assert (f, m) == (family, n)
+        return ((),) + real[1:]
+
+    monkeypatch.setattr(sums, "_folded_terms", without_first)
     full = [
         math.prod((cyclotomic(d) ** e for d, e in m.items()), start=ONE).shift(qpow) * sign
         for sign, qpow, m in _image_exponents(family, n)

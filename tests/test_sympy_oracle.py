@@ -172,5 +172,5 @@ def test_reduced_sums_against_sympy_pochhammers(family, term):
             assert den.gcd(q_n).degree() == 0, (family, n, double)
             vanishes = num.rem(q_n).is_zero
             folded = folded_double_sum_residue if double else folded_single_sum_residue
-            assert reduced_sum_residue(term, n, double).is_zero == vanishes, (family, n, double)
-            assert folded(term, n).is_zero == vanishes, (family, n, double)
+            assert reduced_sum_residue(family, n, double).is_zero == vanishes, (family, n, double)
+            assert folded(family, n).is_zero == vanishes, (family, n, double)
