@@ -136,15 +136,13 @@ def _product_of_binomials(factors) -> list[int]:
 
 
 def _int_divmod_unit_lead(a: list, b: list) -> tuple[list, list]:
-    """divmod for int or Fraction coefficient lists where b has leading coefficient +-1."""
+    """divmod for int or Fraction coefficient lists, b monic."""
     db = len(b) - 1
-    lead = b[-1]
     r = list(a)
     q = [0] * (len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i]
         if c:
-            c *= lead  # dividing by +-1
             q[i - db] = c
             r[i] = 0
             base = i - db

@@ -298,18 +298,15 @@ def _term_sum(items, mul, double: bool) -> list:
 
     Every single and double sum of terms is assembled here; each caller
     brings its own ring product mul, used only for a double sum.  That
-    is taken as the sum over j of mul(items[j], P(n-1-j)), with P(m) the
-    prefix sum items[0] + ... + items[m]: n products instead of the
-    pairs (i, j).
+    is taken as the sum over j of mul(items[n-1-j], P(j)), with P(j) the
+    prefix sum items[0] + ... + items[j], kept as one running sum: n
+    products instead of the pairs (i, j).
     """
-    if double:
-        prefixes, prefix = [], []
-        for item in items:
+    acc, prefix = [], []
+    for j, item in enumerate(items):
+        if double:
             _accumulate(prefix, item)
-            prefixes.append(list(prefix))
-        items = (mul(item, prefixes[-1 - j]) for j, item in enumerate(items))
-    acc: list = []
-    for item in items:
+            item = mul(items[-1 - j], prefix)
         _accumulate(acc, item)
     return acc
 
@@ -495,9 +492,9 @@ def reduced_sum_residue(family: str, n: int, double: bool) -> QPoly:
 
     [n] is the squarefree product of Phi_d over d | n, d > 1, and the rest
     of D is coprime to it, so the sum vanishes modulo [n] iff every
-    verdict does.  Returns ZERO then, otherwise the first nonzero verdict,
-    a polynomial in q of degree below phi(d); only its vanishing is
-    meaningful.  Even n raises EvenN: at even d, 1 + q^m also vanishes at
+    verdict does.  Returns ZERO then, otherwise the verdict at the first d
+    where it is nonzero, computing none past it: a polynomial in q of
+    degree below phi(d); only its vanishing is meaningful.  Even n raises EvenN: at even d, 1 + q^m also vanishes at
     zeta_d, and the count of vanishing binomials would miss it.  A family
     other than "c" or "cp" raises ValueError, also at n = 1, which has no d.
     """
@@ -507,12 +504,11 @@ def reduced_sum_residue(family: str, n: int, double: bool) -> QPoly:
         raise ValueError(f"reduced_sum_residue needs n >= 1, got {n}")
     if n % 2 == 0:
         raise EvenN(f"the reduced verdict needs odd n, got {n}")
-    residue = ZERO
     for d in _divisors(n)[1:]:
         coeffs = _reduced_verdict(family, n, d, double)
-        if coeffs and residue.is_zero:
-            residue = QPoly._raw(coeffs)
-    return residue
+        if coeffs:
+            return QPoly._raw(coeffs)
+    return ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,9 @@ PACKED_ZERO = SUMS + "test_cyclic_mul_packed_zero_image_keeps_length_d"
 CLAIM_FAMILIES = "tests/test_congruence.py::test_q_claims_ask_for_their_family_and_sum"
 FULL_DEGREE = SUMS + "test_failing_folded_residue_is_the_full_degree_remainder"
 INDEPENDENCE = "tests/test_independence.py::test_pipelines_reach_only_their_own_code_and_the_shared_kernels"
+FOLDED_PAIRS = SUMS + "test_folded_double_sum_pair_sum_and_negative_control"
+NAIVE_DOUBLE = SUMS + "test_q_double_sum_matches_naive"
+FIRST_FAILING = SUMS + "test_reduced_residue_stops_at_the_first_failing_divisor"
 CYCLOTOMIC = [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_against_mobius_oracle",
               QRING + "test_cyclotomic_product_equals_q_integer"]
 
@@ -259,6 +262,28 @@ MUTANTS = [
      "QPoly(_term_sum(images, None, double=False))",
      "QPoly(_term_sum(images, _list_mul, double=False))",
      [INDEPENDENCE]),
+    # double sums: term j paired with the prefix P(j) instead of term n-1-j
+    ("sums.py",
+     "item = mul(items[-1 - j], prefix)",
+     "item = mul(items[j], prefix)",
+     [FOLDED_PAIRS, NAIVE_DOUBLE, CLI + "test_q_congruence_record_stream_is_pinned"]),
+    # double sums: the running prefix grown after its product, so term n-1-j meets P(j-1)
+    ("sums.py",
+     "            _accumulate(prefix, item)\n            item = mul(items[-1 - j], prefix)\n",
+     "            product = mul(items[-1 - j], prefix)\n            _accumulate(prefix, item)\n"
+     "            item = product\n",
+     [FOLDED_PAIRS, NAIVE_DOUBLE]),
+    # reduced witness: the divisors walked from the top, so a later failing d is returned
+    ("sums.py",
+     "    for d in _divisors(n)[1:]:\n        coeffs = _reduced_verdict",
+     "    for d in _divisors(n)[:0:-1]:\n        coeffs = _reduced_verdict",
+     [SIGN_FLIPS, FIRST_FAILING]),
+    # divrem: a divisor with lead -1 passed unscaled to the monic-only kernel
+    ("qring.py",
+     "inv = lead if lead == 1 or lead == -1",
+     "inv = 1 if lead == 1 or lead == -1",
+     [QRING + "test_divrem_long_division_oracle",
+      QRING + "test_poly_inverse_mod_inverts_coprime_residues"]),
 ]
 
 # (file under src/qcong, old text, new text, why no value changes)

@@ -409,3 +409,13 @@ def test_scalar_record_stream_is_pinned(capsys, argv):
     # each csv row ends in \r\n, and the \r goes with the dropped seventh field
     cut = "".join(",".join(line.split(",")[:6]) + "\n" for line in out.split("\n")[:-1])
     assert hashlib.sha256(cut.encode()).hexdigest() == _SCALAR_DIGESTS[argv]
+
+
+def test_q_congruence_record_stream_is_pinned(capsys):
+    # eq1..eq4 at odd n <= 45 on the folded pipeline and eq5..eq8 at odd
+    # primes p <= 45, as `verify congruence --limit 45 --format csv | cut -d, -f1-6 | sha256sum`
+    code, out = run_cli(capsys, "verify", "congruence", "--limit", "45", "--format", "csv")
+    assert code == 0
+    cut = "".join(",".join(line.split(",")[:6]) + "\n" for line in out.split("\n")[:-1])
+    assert hashlib.sha256(cut.encode()).hexdigest() == (
+        "8b1676fd2445831fd182f8cd710cc8d0aa19d7a46b545f015c6be3469936d467")

@@ -652,6 +652,28 @@ def test_reduced_verdict_matches_oracle_on_sign_flips(family, term, double):
     assert failing > cases / 2, (failing, cases)
 
 
+@pytest.mark.parametrize("family", ["c", "cp"])
+@pytest.mark.parametrize("double", [False, True])
+def test_reduced_residue_stops_at_the_first_failing_divisor(monkeypatch, family, double):
+    # with term 0 flipped the sum fails at every d | 15; the witness is the
+    # verdict at d = 3, so those at 5 and 15 are never computed, while a
+    # holding sum needs all three
+    real, seen = sums._reduced_verdict, []
+
+    def counted(family, n, d, double):
+        seen.append(d)
+        return real(family, n, d, double)
+
+    monkeypatch.setattr(sums, "_reduced_verdict", counted)
+    with sign_flipped(0):
+        residue = reduced_sum_residue(family, 15, double)
+        assert seen == [3]
+        assert not residue.is_zero and residue == QPoly(real(family, 15, 3, double))
+    seen.clear()
+    assert reduced_sum_residue(family, 15, double).is_zero
+    assert seen == [3, 5, 15]
+
+
 @pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
 @pytest.mark.parametrize("double", [False, True])
 def test_folded_and_reduced_verdicts_agree_per_divisor_on_sign_flips(family, term, double):
