@@ -445,9 +445,9 @@ def cyclotomic(n: int) -> QPoly:
 
     For n > 1, Phi_n is the Moebius product of (1 - q^e)^mu(n/e) over
     e | n, taken as a power series in n coefficients, which is exact
-    because deg Phi_n = phi(n) < n.  mu(n/e) is nonzero only for
-    squarefree n/e, a product of distinct primes of n whose count gives
-    the sign.  Each factor is one sparse step: 1 - q^e is
+    because deg Phi_n = phi(n) < n.  Over the divisors s of n, ascending,
+    mu(1) = 1 and mu(s) is minus the sum of mu(t) over the t | s before
+    it.  Each factor with mu != 0 is one sparse step: 1 - q^e is
     c[i] -= c[i - e] for i descending, its inverse c[i] += c[i - e] for
     i ascending, and the steps commute.  The test suite cross-checks the
     product of the Phi_d over d | n against [n].
@@ -456,23 +456,16 @@ def cyclotomic(n: int) -> QPoly:
         raise ValueError(f"cyclotomic needs n >= 1, got {n}")
     if n == 1:
         return QPoly._raw([-1, 1])
-    mu = {1: 1}  # squarefree divisor s of n -> mu(s)
-    m, p = n, 2
-    while m > 1:
-        if p * p > m:
-            p = m
-        if m % p == 0:
-            mu.update({s * p: -sign for s, sign in mu.items()})
-            while m % p == 0:
-                m //= p
-        p += 1
+    mu = {1: 1}  # divisor s of n -> mu(s)
+    for s in _divisors(n)[1:]:
+        mu[s] = -sum(v for t, v in mu.items() if s % t == 0)
     c = [1] + [0] * (n - 1)
     for s, sign in mu.items():
         e = n // s
         if sign == 1:
             for i in range(n - 1, e - 1, -1):
                 c[i] -= c[i - e]
-        else:
+        elif sign == -1:
             for i in range(e, n):
                 c[i] += c[i - e]
     return QPoly._raw(_trim(c))

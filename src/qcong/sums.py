@@ -494,17 +494,18 @@ def reduced_sum_residue(family: str, n: int, double: bool) -> QPoly:
     of D is coprime to it, so the sum vanishes modulo [n] iff every
     verdict does.  Returns ZERO then, otherwise the verdict at the first d
     where it is nonzero, computing none past it: a polynomial in q of
-    degree below phi(d); only its vanishing is meaningful.  Even n raises EvenN: at even d, 1 + q^m also vanishes at
-    zeta_d, and the count of vanishing binomials would miss it.  A family
-    other than "c" or "cp" raises ValueError, also at n = 1, which has no d.
+    degree below phi(d); only its vanishing is meaningful.  The d are
+    those _local_images builds, ascending, all before the first verdict:
+    it raises DenominatorNotCoprime, and ValueError for a family other
+    than "c" or "cp", even at n = 1, which has no d but a term 0.  Even n
+    raises EvenN: at even d, 1 + q^m also vanishes at zeta_d, and the
+    count of vanishing binomials would miss it.
     """
-    if family not in ("c", "cp"):
-        raise ValueError(f"unknown term family {family!r}")
     if n < 1:
         raise ValueError(f"reduced_sum_residue needs n >= 1, got {n}")
     if n % 2 == 0:
         raise EvenN(f"the reduced verdict needs odd n, got {n}")
-    for d in _divisors(n)[1:]:
+    for d in _local_images(family, n):
         coeffs = _reduced_verdict(family, n, d, double)
         if coeffs:
             return QPoly._raw(coeffs)
@@ -516,23 +517,16 @@ def reduced_sum_residue(family: str, n: int, double: bool) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
-def _mod_qint(cs: list, n: int) -> list:
-    """A coefficient list of length n reduced modulo [n], trimmed.
-
-    q^(n-1) = -(1 + q + ... + q^(n-2)) modulo [n], so the top
-    coefficient is subtracted from the others; at n = 1 nothing is left.
-    [n] divides q^n - 1, so a product taken by _cyclic_mul modulo q^n - 1
-    and passed here once is the product modulo [n].
-    """
-    top = cs.pop()
-    if top:
-        cs = [c - top for c in cs]
-    return _trim(cs)
-
-
 def _qint_mul(a: list, b: list, n: int) -> list:
-    """Product modulo [n] of two coefficient lists of length below n, trimmed."""
-    return _mod_qint(_cyclic_mul(a, b, n), n)
+    """Product modulo [n] of two coefficient lists of length at most n, trimmed.
+
+    [n] divides q^n - 1, so the product modulo q^n - 1 by _cyclic_mul,
+    reduced once, is the product modulo [n]: q^(n-1) = -(1 + q + ... +
+    q^(n-2)) modulo [n], so the top coefficient is subtracted from the
+    others; at n = 1 nothing is left.
+    """
+    *cs, top = _cyclic_mul(a, b, n)
+    return _trim([c - top for c in cs] if top else cs)
 
 
 @lru_cache(maxsize=None)
@@ -547,9 +541,10 @@ def _folded_terms(family: str, n: int) -> tuple:
     k and denominator cofactors shrink with k, so most of the m_k are
     shared: _chain_split puts them in one prefix and one suffix chain of
     cyclotomic powers mod [n] and leaves each term a few factors of its
-    own, and the product is then rotated by q^qpow, signed and reduced
-    mod [n] again.  Every image has fewer than n coefficients; at prime
-    n, [n] = Phi_n and the terms with k > (n-1)/2 carry Phi_n, so their
+    own; the signed q^qpow rotates the prefix image modulo q^n - 1, and
+    the prefix times suffix product reduces it mod [n] with the rest.
+    Every image has fewer than n coefficients; at prime n, [n] = Phi_n
+    and the terms with k > (n-1)/2 carry Phi_n, so their
     images are empty.  A sum of terms vanishes modulo [n] iff the same
     sum of the N_k does, because L is coprime to [n]: term denominators
     carry only even cyclotomic indices and n is odd.  A denominator
@@ -587,9 +582,8 @@ def _folded_terms(family: str, n: int) -> tuple:
 
     images = []
     for (sign, qpow, _), pre, suf, r in zip(terms, chain(us), chain(vs[::-1])[::-1], rs):
-        product = times(_qint_mul(pre, suf, n), r)
-        image = _rotate(product + [0] * (n - len(product)), qpow)
-        images.append(tuple(_mod_qint([sign * c for c in image], n)))
+        placed = [sign * c for c in _rotate(pre + [0] * (n - len(pre)), qpow)]
+        images.append(tuple(times(_qint_mul(placed, suf, n), r)))
     return tuple(images)
 
 

@@ -32,7 +32,7 @@ ENTRY_POINTS = {
 PARTITION = {
     ("folded",): {
         "folded_single_sum_residue", "folded_double_sum_residue", "_folded_terms", "_chain_split",
-        "_qint_mul", "_mod_qint", "_reduced_term",
+        "_qint_mul", "_reduced_term",
     },
     ("reduced",): {"reduced_sum_residue", "_reduced_verdict", "_local_images", "EvenN", "ZERO"},
     ("folded", "reduced"): {"_cyclic_mul", "_rotate"},

@@ -156,6 +156,9 @@ def local_residue(num, den_binomials, n):
 
 FAMILIES = {c_q_term: "c", cp_q_term: "cp"}
 
+# the family names, with ids that also name each family's term function
+BY_FAMILY = pytest.mark.parametrize("family", ["c", "cp"], ids=["c-c_q_term", "cp-cp_q_term"])
+
 
 def sign_flips(n):
     """Terms whose sign is flipped for the perturbed sums: the ends and the middle."""
@@ -593,9 +596,9 @@ def test_valuation_verdict_agrees_with_reduced_sums(family, term, double):
             assert not congruent_zero_mod_qint(s + p, n).holds, (n, d)
 
 
-@pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
+@BY_FAMILY
 @pytest.mark.parametrize("double", [False, True])
-def test_local_verdict_matches_trial_division_oracle(family, term, double):
+def test_local_verdict_matches_trial_division_oracle(family, double):
     for n in range(1, 16, 2):
         num, den = _summed_numerator(family, n, double)
         residue = reduced_sum_residue(family, n, double)
@@ -629,20 +632,25 @@ def test_local_images_are_the_leading_local_coefficients(family):
                 assert series[k] == [0] * (m * d) + (list(image) or [0] * d), (n, d, k)
 
 
-@pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
+@BY_FAMILY
 @pytest.mark.parametrize("double", [False, True])
-def test_reduced_verdict_matches_oracle_on_sign_flips(family, term, double):
+def test_reduced_verdict_matches_oracle_on_sign_flips(family, double):
     # one term's sign flipped breaks the sum at most divisors; each per-d
     # verdict must still equal the reference one, zero or not; the
-    # reference flips the expanded numerator, the pipeline its binomials
+    # reference flips the expanded numerator, the pipeline its binomials,
+    # and the reference sums here, not by the pipelines' _term_sum: the
+    # pairs i + j < n of a double sum are term n-1-j times the prefix P(j)
     cases = failing = 0
     for n in range(3, 22, 2):
-        ms = [list(m) for m in _assembled_numerators(family, n)]
+        ms = [QPoly(m) for m in _assembled_numerators(family, n)]
         den = _common_den_binomials(n) * (2 if double else 1)
         for flip in sign_flips(n):
-            items = [[-c for c in m] if k == flip else m for k, m in enumerate(ms)]
+            items = [-m if k == flip else m for k, m in enumerate(ms)]
             with without_shared_kernel():
-                num = QPoly(sums._term_sum(items, _list_mul, double))
+                num = prefix = QPoly()
+                for j, item in enumerate(items):
+                    prefix = prefix + item
+                    num = num + (items[-1 - j] * prefix if double else item)
                 expected = local_verdicts(num, den, n)
             with sign_flipped(flip):
                 assert {d: _reduced_verdict(family, n, d, double) for d in expected} == expected
@@ -674,9 +682,9 @@ def test_reduced_residue_stops_at_the_first_failing_divisor(monkeypatch, family,
     assert seen == [3, 5, 15]
 
 
-@pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
+@BY_FAMILY
 @pytest.mark.parametrize("double", [False, True])
-def test_folded_and_reduced_verdicts_agree_per_divisor_on_sign_flips(family, term, double):
+def test_folded_and_reduced_verdicts_agree_per_divisor_on_sign_flips(family, double):
     # a negative control across the two pipelines: for every d | n the
     # folded residue vanishes modulo Phi_d iff the reduced verdict at d does
     fold = folded_double_sum_residue if double else folded_single_sum_residue
@@ -719,15 +727,16 @@ def test_reduced_verdict_refuses_even_n():
 
 
 def test_single_and_double_sums_share_one_build_per_n():
-    # eq1 then eq3 at one n build the (family, n) images once: every
-    # divisor of either check after the first reads the same build
+    # eq1 then eq3 at one n build the (family, n) images once: each check
+    # reads them for its divisors and once per divisor, and only the first
+    # read builds
     n = 45
     _local_images.cache_clear()
     congruence.check_eq1(n, method="reduced")
     divisors = sum(1 for d in range(2, n + 1) if n % d == 0)
-    assert _local_images.cache_info()[:2] == (divisors - 1, 1)
+    assert _local_images.cache_info()[:2] == (divisors, 1)
     congruence.check_eq3(n, method="reduced")
-    assert _local_images.cache_info()[:2] == (2 * divisors - 1, 1)
+    assert _local_images.cache_info()[:2] == (2 * divisors + 1, 1)
 
 
 @pytest.mark.parametrize("family", ["c", "cp"])
@@ -814,7 +823,7 @@ def dense_cyclic_operands(draw):
 @example(([1, -1, 60, -60] * 32 + [5, 1], list(range(1, 131)), 130))
 def test_cyclic_mul_above_the_packing_threshold(operands):
     a, b, d = operands
-    assert min(len(a), len(b)) ** 2 > 4096
+    assert min(len(a) - a.count(0), len(b) - b.count(0)) * d > 2048
     assert _cyclic_mul(a, b, d) == cyclic_schoolbook(a, b, d)
     assert _cyclic_mul(b, a, d) == cyclic_schoolbook(a, b, d)
 
@@ -913,9 +922,9 @@ def test_valuation_verdict_refuses_shared_denominator_factor():
     assert residue(phi3**3 * phi9 * unit).is_zero
 
 
-@pytest.mark.parametrize("family,term", [("c", c_q_term), ("cp", cp_q_term)])
+@BY_FAMILY
 @pytest.mark.parametrize("n", [3, 5, 9])
-def test_folded_double_sum_pair_sum_and_negative_control(family, term, n):
+def test_folded_double_sum_pair_sum_and_negative_control(family, n):
     images = [QPoly(image) for image in _folded_terms(family, n)]
     pairs = QPoly()
     for i in range(n):
