@@ -92,7 +92,7 @@ def _prime_power_report(claim_id: str, p: int, weight: Fraction, rhs_value, squa
         )
     m = p * p if square else p
     lhs = rational_mod(s, m)
-    rhs = rational_mod(Fraction(rhs_value), m)
+    rhs = rational_mod(rhs_value, m)
     return CongruenceReport(
         claim_id=claim_id,
         instance=p,

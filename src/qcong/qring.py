@@ -154,12 +154,12 @@ def _int_divmod_unit_lead(a: list, b: list) -> tuple[list, list]:
 
 
 def _fold_list(cs, n: int) -> list:
-    """Coefficient list reduced modulo q^n - 1 by summing exponents mod n."""
+    """Coefficient list reduced modulo q^n - 1 by summing exponents mod n; untrimmed, n coefficients."""
     out = [0] * n
     for e, c in enumerate(cs):
         if c:
             out[e % n] += c
-    return _trim(out)
+    return out
 
 
 class _Frozen:
@@ -394,7 +394,7 @@ def divrem(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
         raise DivisionByZeroPoly("polynomial division by zero")
     lead = b.leading
     inv = lead if lead == 1 or lead == -1 else 1 / Fraction(lead)
-    qc, rc = _int_divmod_unit_lead(list(a.coeffs), [c * inv for c in b.coeffs])
+    qc, rc = _int_divmod_unit_lead(a.coeffs, [c * inv for c in b.coeffs])
     return QPoly(c * inv for c in qc), QPoly(rc)
 
 

@@ -236,6 +236,8 @@ def _family_name(term) -> str:
 
 
 def _term_qrat(family: str, k: int) -> QRat:
+    if k < 0:
+        raise ValueError(f"{family}_q_term needs k >= 0, got {k}")
     sign, qpow, exps = _reduced_term(family, k)
     num = prod((cyclotomic(d) ** e for d, e in exps if e > 0), start=ONE)
     den = prod((cyclotomic(d) ** -e for d, e in exps if e < 0), start=ONE)
@@ -244,15 +246,11 @@ def _term_qrat(family: str, k: int) -> QRat:
 
 def c_q_term(k: int) -> QRat:
     """The k-th term of the alternating family, as a reduced QRat."""
-    if k < 0:
-        raise ValueError(f"c_q_term needs k >= 0, got {k}")
     return _term_qrat("c", k)
 
 
 def cp_q_term(k: int) -> QRat:
     """The k-th term of the non-alternating family, as a reduced QRat."""
-    if k < 0:
-        raise ValueError(f"cp_q_term needs k >= 0, got {k}")
     return _term_qrat("cp", k)
 
 
@@ -293,18 +291,18 @@ def _accumulate(acc: list, coeffs) -> None:
             acc[e] += c
 
 
-def _term_sum(items, mul, double: bool) -> list:
-    """Sum of the n items, or with double of mul(items[i], items[j]) over i + j < n; untrimmed.
+def _term_sum(items, mul=None) -> list:
+    """Sum of the n items, or given a product mul of mul(items[i], items[j]) over i + j < n; untrimmed.
 
-    Every single and double sum of terms is assembled here; each caller
-    brings its own ring product mul, used only for a double sum.  That
+    Every single and double sum of terms is assembled here; a sum is a
+    double sum exactly when its caller passes a ring product mul.  That
     is taken as the sum over j of mul(items[n-1-j], P(j)), with P(j) the
     prefix sum items[0] + ... + items[j], kept as one running sum: n
     products instead of the pairs (i, j).
     """
     acc, prefix = [], []
     for j, item in enumerate(items):
-        if double:
+        if mul:
             _accumulate(prefix, item)
             item = mul(items[-1 - j], prefix)
         _accumulate(acc, item)
@@ -340,7 +338,7 @@ def _reduce_over_binomials(num: list, den_binomials: list) -> QRat:
     """
     sign, mults = _cyclotomic_multiplicities(den_binomials)
     for d in mults:
-        phi = list(cyclotomic(d).coeffs)
+        phi = cyclotomic(d).coeffs
         while mults[d]:
             quo, rem = _int_divmod_unit_lead(num, phi)
             if rem:
@@ -360,7 +358,7 @@ def _summed_numerator(family: str, n: int, double: bool) -> tuple[list, list]:
     built by _term_sum from n products.  N is trimmed and not reduced
     against D.
     """
-    num = _term_sum(_assembled_numerators(family, n), _list_mul, double)
+    num = _term_sum(_assembled_numerators(family, n), _list_mul if double else None)
     den = _common_den_binomials(n)
     return _trim(num), den * 2 if double else den
 
@@ -405,17 +403,16 @@ def _cyclic_mul(a, b, d: int) -> list:
     of it written out twice), is added in a_i times; most coefficients
     are +-1, which add or subtract the rotation as it is.  That costs
     nnz(a) * d Python additions, so a product past 2048 of them is
-    instead packed into one big-int multiplication (_intpoly_mul),
-    folded and padded to length d.  Packing has a fixed cost of its own,
-    so below the threshold, which no product at d <= 45 reaches, the
-    slices stay faster.
+    instead packed into one big-int multiplication (_intpoly_mul) and
+    folded.  Packing has a fixed cost of its own, so below the
+    threshold, which no product at d <= 45 reaches, the slices stay
+    faster.
     """
     na, nb = len(a) - a.count(0), len(b) - b.count(0)
     if na > nb:
         a, b, na = b, a, nb
     if na * d > 2048:
-        out = _fold_list(_intpoly_mul(a, b), d)
-        return out + [0] * (d - len(out))
+        return _fold_list(_intpoly_mul(a, b), d)
     b = list(b) + [0] * (d - len(b))
     b += b
     out = [0] * d
@@ -483,7 +480,7 @@ def _reduced_verdict(family: str, n: int, d: int, double: bool) -> list:
     D^2 is their pair sum; returned modulo Phi_d.
     """
     images = _local_images(family, n)[d]
-    total = _term_sum(images, lambda a, b: _cyclic_mul(a, b, d), double)
+    total = _term_sum(images, partial(_cyclic_mul, d=d) if double else None)
     return _int_divmod_unit_lead(total, cyclotomic(d).coeffs)[1]
 
 
@@ -554,13 +551,10 @@ def _folded_terms(family: str, n: int) -> tuple:
     exps = [dict(e) for _, _, e in terms]
     ds = sorted(set().union(*exps))
     rows = [[e.get(d, 0) for d in ds] for e in exps]
-    for k, row in enumerate(rows):
-        bad = [d for d, e in zip(ds, row) if e < 0 and n % d == 0]
-        if bad:
-            raise DenominatorNotCoprime(
-                f"term {k} denominator shares cyclotomic indices {bad} with q^{n} - 1"
-            )
     common = [-min(0, *col) for col in zip(*rows)]
+    bad = [d for d, e in zip(ds, common) if e and n % d == 0]
+    if bad:
+        raise DenominatorNotCoprime(f"term denominators share cyclotomic indices {bad} with q^{n} - 1")
     us, vs, rs = _chain_split([list(map(add, row, common)) for row in rows])
     phis = [_fold_list(cyclotomic(d).coeffs, n) for d in ds]
 
@@ -598,7 +592,7 @@ def folded_single_sum_residue(family: str, n: int) -> QPoly:
     if n < 1:
         raise ValueError(f"folded_single_sum_residue needs n >= 1, got {n}")
     images = _folded_terms(family, n)
-    return QPoly(_term_sum(images, None, double=False))
+    return QPoly(_term_sum(images))
 
 
 def folded_double_sum_residue(family: str, n: int) -> QPoly:
@@ -611,5 +605,5 @@ def folded_double_sum_residue(family: str, n: int) -> QPoly:
     if n < 1:
         raise ValueError(f"folded_double_sum_residue needs n >= 1, got {n}")
     images = _folded_terms(family, n)
-    total = _term_sum(images, partial(_qint_mul, n=n), double=True)
+    total = _term_sum(images, partial(_qint_mul, n=n))
     return QPoly(total)

@@ -11,7 +11,8 @@ one mutant at a time, replaces the old text with the new one and runs
 only that mutant's tests against the copy.  A mutant is killed when
 pytest exits 1 and each named test is among the failures.  The exit
 status is 0 when every mutant is killed, and 1 when one survives or
-errors.  A full run takes about 100 s on a shared 2-core machine.
+errors.  A full run of the 51 mutants takes about 110 s on a shared
+2-core machine.
 
 EQUIVALENT lists mutants that change no value, each with its reason.
 None of them is run; the script only checks that its old text is still
@@ -45,6 +46,7 @@ CLAIM_FAMILIES = "tests/test_congruence.py::test_q_claims_ask_for_their_family_a
 FULL_DEGREE = SUMS + "test_failing_folded_residue_is_the_full_degree_remainder"
 INDEPENDENCE = "tests/test_independence.py::test_pipelines_reach_only_their_own_code_and_the_shared_kernels"
 FOLDED_PAIRS = SUMS + "test_folded_double_sum_pair_sum_and_negative_control"
+FLIPPED_PAIRS = SUMS + "test_folded_double_sum_is_the_pair_sum_on_a_sign_flip"
 NAIVE_DOUBLE = SUMS + "test_q_double_sum_matches_naive"
 FIRST_FAILING = SUMS + "test_reduced_residue_stops_at_the_first_failing_divisor"
 CYCLOTOMIC = [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_against_mobius_oracle",
@@ -127,13 +129,13 @@ MUTANTS = [
      [SUMS + "test_cyclic_mul_below_the_packing_threshold_at_large_d"]),
     # the shared product kernel: the packed product returned unfolded
     ("sums.py",
-     "out = _fold_list(_intpoly_mul(a, b), d)",
-     "out = _intpoly_mul(a, b)",
+     "return _fold_list(_intpoly_mul(a, b), d)",
+     "return _intpoly_mul(a, b)",
      [SUMS + "test_cyclic_mul_above_the_packing_threshold", PACKED_ZERO]),
-    # the shared product kernel: the packed product returned trimmed, not padded to length d
-    ("sums.py",
-     "        return out + [0] * (d - len(out))\n",
-     "        return out\n",
+    # the fold trimmed, so a packed product with zero top coefficients comes back shorter than d
+    ("qring.py",
+     "            out[e % n] += c\n    return out\n",
+     "            out[e % n] += c\n    return _trim(out)\n",
      [PACKED_ZERO]),
     # central binomials: the ratio C(2j, j) / C(2j-2, j-1) off by one, twice
     ("sums.py",
@@ -273,11 +275,36 @@ MUTANTS = [
      "images[k] = tuple(sign * c for c in _rotate(product, qpow))",
      "images[k] = tuple(sign * c for c in _rotate(product, _reduced_term(family, k)[1]))",
      [INDEPENDENCE]),
-    # folded single sum: given the oracle's product as the double-sum product it never uses
+    # folded single sum: given the oracle's product, which makes it a double sum taken in Z[q]
     ("sums.py",
-     "QPoly(_term_sum(images, None, double=False))",
-     "QPoly(_term_sum(images, _list_mul, double=False))",
-     [INDEPENDENCE]),
+     "QPoly(_term_sum(images))",
+     "QPoly(_term_sum(images, _list_mul))",
+     [INDEPENDENCE, FULL_DEGREE]),
+    # folded double sum: no product passed, so its single sum is returned
+    ("sums.py",
+     "total = _term_sum(images, partial(_qint_mul, n=n))",
+     "total = _term_sum(images)",
+     [FLIPPED_PAIRS, FULL_DEGREE]),
+    # term sums: the double sum taken without a product and the single sum with one
+    ("sums.py",
+     "        if mul:\n",
+     "        if not mul:\n",
+     [FULL_DEGREE, NAIVE_DOUBLE]),
+    # terms: k = -1 let through to the binomials, which build a term there
+    ("sums.py",
+     "    if k < 0:\n        raise ValueError(f\"{family}_q_term",
+     "    if k < -1:\n        raise ValueError(f\"{family}_q_term",
+     [SUMS + "test_terms_reject_negative_k"]),
+    # folded images: the coprimality check asks for n % d == 1, so Phi_d with d | n passes it
+    ("sums.py",
+     "if e and n % d == 0]",
+     "if e and n % d == 1]",
+     [SUMS + "test_folded_terms_are_integer_and_refuse_shared_denominator_factors"]),
+    # folded images: L_d taken as -max(0, .), so the coprimality check reads the numerator's indices
+    ("sums.py",
+     "common = [-min(0, *col) for col in zip(*rows)]",
+     "common = [-max(0, *col) for col in zip(*rows)]",
+     [FOLDED_IMAGES]),
     # double sums: term j paired with the prefix P(j) instead of term n-1-j
     ("sums.py",
      "item = mul(items[-1 - j], prefix)",
@@ -309,12 +336,6 @@ MUTANTS = [
 
 # (file under src/qcong, old text, new text, why no value changes)
 EQUIVALENT = [
-    ("sums.py",
-     "common = [-min(0, *col) for col in zip(*rows)]",
-     "common = [-max(0, *col) for col in zip(*rows)]",
-     "the prefix chain starts from zero and range(e) skips a negative first step, so "
-     "every column still ends at m_k - min_j m_j = e_k + L_d and no image or verdict moves; "
-     "only test_folded_terms_split_the_numerator_exponents, which pins the rows, sees it"),
     ("sums.py",
      "c[j : j + 1] = [c[j - 1] * (4 * j - 2) // j]",
      "c[j : j + 1] = [c[j - 1] // j * (4 * j - 2)]",

@@ -856,7 +856,7 @@ def test_cyclic_mul_below_the_packing_threshold_at_large_d(operands):
 
 def test_cyclic_mul_packed_zero_image_keeps_length_d():
     # every coefficient of [1] * 65 times b is the sum of b's, here 0;
-    # 64 * 65 nonzero products take the packed branch, which trims, and must pad back
+    # 64 * 65 nonzero products take the packed branch, whose fold must keep all 65 coefficients
     a, b = [1] * 65, [1, -1] * 32 + [0]
     assert (len(b) - b.count(0)) * 65 > 2048
     assert _cyclic_mul(a, b, 65) == [0] * 65
@@ -922,20 +922,37 @@ def test_valuation_verdict_refuses_shared_denominator_factor():
     assert residue(phi3**3 * phi9 * unit).is_zero
 
 
-@BY_FAMILY
-@pytest.mark.parametrize("n", [3, 5, 9])
-def test_folded_double_sum_pair_sum_and_negative_control(family, n):
+def folded_pair_sum(family, n):
+    """The images of _folded_terms as QPolys, and their pair sum over i + j < n folded mod q^n - 1."""
     images = [QPoly(image) for image in _folded_terms(family, n)]
     pairs = QPoly()
     for i in range(n):
         for j in range(n - i):
             pairs = pairs + fold_mod_qn_minus_1(images[i] * images[j], n)
+    return images, pairs
+
+
+@BY_FAMILY
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_folded_double_sum_pair_sum_and_negative_control(family, n):
+    images, pairs = folded_pair_sum(family, n)
     residue = divrem(pairs, q_integer(n))[1]
     assert residue.is_zero
     assert folded_double_sum_residue(family, n) == residue
     # dropping the (0, 0) pair breaks the congruence
     broken = pairs - fold_mod_qn_minus_1(images[0] * images[0], n)
     assert not divrem(broken, q_integer(n))[1].is_zero
+
+
+@BY_FAMILY
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_folded_double_sum_is_the_pair_sum_on_a_sign_flip(family, n):
+    # on real instances every residue is zero, so a pipeline returning the
+    # single sum would pass above; with term 0 negated the residue is not
+    with sign_flipped(0):
+        residue = divrem(folded_pair_sum(family, n)[1], q_integer(n))[1]
+        assert not residue.is_zero
+        assert folded_double_sum_residue(family, n) == residue
 
 
 @pytest.mark.parametrize("family", ["c", "cp"])
