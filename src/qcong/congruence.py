@@ -24,17 +24,11 @@ depth 1 at the roots of unity of [n], never folding modulo q^n - 1,
 reading a term exponent or factoring a binomial: m_d and each c_k count
 the binomials whose own local series has a vanishing constant term.
 Both take the family name, "c" or "cp", and never the oracle's terms.
-Besides the term binomials, the cyclotomics and the divisors of n, they
-share only the product kernel in Z[x]/(x^d - 1) and its rotation
-(sums._cyclic_mul, sums._rotate), the packed product and fold it runs
-on dense products (qring._intpoly_mul, qring._fold_list), and the
-prefix sums of a double sum (sums._term_sum).  Only the reduced path
-divides, by Phi_d, with qring._int_divmod_unit_lead as the oracle does.
-tests/test_independence.py checks this on the call graph of the source,
-and oracles that never call the product kernel check each path's
-numerators, so an error in how either path builds, cancels or combines
-terms shows as a disagreement or an oracle failure instead of being
-repeated by the other.
+What they and the oracle share is pinned by tests/test_independence.py,
+and oracles that never call their one product kernel, sums._cyclic_mul,
+check each path's numerators, so an error in how either path builds,
+cancels or combines terms shows as a disagreement or an oracle failure
+instead of being repeated by the other.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
 level: writing S(x, p) for the sum over k < p of x^k times the inner
@@ -128,8 +122,6 @@ _Q_CLAIMS = {"eq1": ("c", False), "eq2": ("cp", False), "eq3": ("c", True), "eq4
 
 def _q_congruence_report(claim_id: str, n: int, method: str) -> CongruenceReport:
     family, double = _Q_CLAIMS[claim_id]
-    if n < 1:
-        raise ValueError(f"{claim_id} needs n >= 1, got {n}")
     if n % 2 == 0:
         raise EvenN(f"{claim_id} is only asserted for odd n, got {n}")
     if method == "folded":

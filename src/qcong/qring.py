@@ -72,7 +72,7 @@ def _binomial_cyclotomic_indices(sign: int, m: int) -> tuple[int, ...]:
 
 
 def _intpoly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Multiply integer coefficient lists by packing into one big int.
+    """Multiply integer coefficient lists by packing into one big int; untrimmed.
 
     Coefficients are offset into nonnegative byte-aligned chunks so the
     whole product is a single CPython big-int multiplication; chunk width
@@ -96,12 +96,10 @@ def _intpoly_mul(a: list[int], b: list[int]) -> list[int]:
     x = pack(a) * pack(b)
     rep_out = ((1 << (bits * out_len)) - 1) // ((1 << bits) - 1)
     raw = (x + half * rep_out).to_bytes(out_len * nbytes, "little")
-    return _trim(
-        [
-            int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") - half
-            for i in range(out_len)
-        ]
-    )
+    return [
+        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") - half
+        for i in range(out_len)
+    ]
 
 
 def _all_int(cs) -> bool:
@@ -110,7 +108,7 @@ def _all_int(cs) -> bool:
 
 
 def _list_mul(a: list, b: list) -> list:
-    """Coefficient-list product; sparse-aware, big-int packed when profitable."""
+    """Coefficient-list product, untrimmed; sparse-aware, big-int packed when profitable."""
     nza = sum(1 for c in a if c)
     nzb = sum(1 for c in b if c)
     if nza > nzb:
@@ -124,7 +122,7 @@ def _list_mul(a: list, b: list) -> list:
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] += ca * cb
-    return _trim(out)
+    return out
 
 
 def _product_of_binomials(factors) -> list[int]:
@@ -167,8 +165,8 @@ class _Frozen:
 
     Each subclass sets its fields once via object.__setattr__ (a generic
     *args/**kwargs constructor is about twice as slow) and is no tuple, so
-    no caller mistakes it for one; QPoly and QRat use only its field guards
-    and its pickling, which loads through their constructors.
+    no caller mistakes it for one; QPoly and QRat use its field guards,
+    its pickling, which loads through their constructors, and its repr.
     """
 
     __slots__ = ()
@@ -362,9 +360,6 @@ class QPoly(_Frozen):
             text = " ".join(parts)
         _LAST = cs, text
         return text
-
-    def __repr__(self):
-        return f"QPoly({list(self.coeffs)!r})"
 
 
 ZERO = QPoly._raw(())
@@ -585,9 +580,6 @@ class QRat(_Frozen):
         if self.den == ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"QRat({self.num!r}, {self.den!r})"
 
 
 def _as_qrat(x):

@@ -11,8 +11,7 @@ one mutant at a time, replaces the old text with the new one and runs
 only that mutant's tests against the copy.  A mutant is killed when
 pytest exits 1 and each named test is among the failures.  The exit
 status is 0 when every mutant is killed, and 1 when one survives or
-errors.  A full run of the 51 mutants takes about 110 s on a shared
-2-core machine.
+errors; the last line gives the count and the time taken.
 
 EQUIVALENT lists mutants that change no value, each with its reason.
 None of them is run; the script only checks that its old text is still
@@ -49,6 +48,7 @@ FOLDED_PAIRS = SUMS + "test_folded_double_sum_pair_sum_and_negative_control"
 FLIPPED_PAIRS = SUMS + "test_folded_double_sum_is_the_pair_sum_on_a_sign_flip"
 NAIVE_DOUBLE = SUMS + "test_q_double_sum_matches_naive"
 FIRST_FAILING = SUMS + "test_reduced_residue_stops_at_the_first_failing_divisor"
+NEGATIVE_N = "tests/test_congruence.py::test_q_claims_reject_even_n"
 CYCLOTOMIC = [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_against_mobius_oracle",
               QRING + "test_cyclotomic_product_equals_q_integer"]
 
@@ -326,6 +326,16 @@ MUTANTS = [
      "for d in _local_images(family, n):",
      'for d in _local_images("c", n):',
      [SUMS + "test_terms_reject_negative_k"]),
+    # q-claims: a negative odd n let through the folded single sum, which then sums nothing
+    ("sums.py",
+     "    if n < 1:\n        raise ValueError(f\"folded_single_sum_residue",
+     "    if n == 0:\n        raise ValueError(f\"folded_single_sum_residue",
+     [NEGATIVE_N]),
+    # q-claims: a negative odd n let through the reduced verdict
+    ("sums.py",
+     "    if n < 1:\n        raise ValueError(f\"reduced_sum_residue",
+     "    if n == 0:\n        raise ValueError(f\"reduced_sum_residue",
+     [NEGATIVE_N]),
     # divrem: a divisor with lead -1 passed unscaled to the monic-only kernel
     ("qring.py",
      "inv = lead if lead == 1 or lead == -1",
@@ -350,6 +360,22 @@ EQUIVALENT = [
      "if na * d >= 2048:",
      "both branches are exact, so moving the threshold by one only changes "
      "which of them computes a product at exactly 2048 additions"),
+    ("qring.py",
+     "                    out[i + j] += ca * cb\n    return out\n",
+     "                    out[i + j] += ca * cb\n    return _trim(out)\n",
+     "every caller trims the product: QPoly.__mul__ through the constructor, "
+     "_summed_numerator after summing the products"),
+    ("qring.py",
+     "    return [\n"
+     "        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], \"little\") - half\n"
+     "        for i in range(out_len)\n"
+     "    ]\n",
+     "    return _trim([\n"
+     "        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], \"little\") - half\n"
+     "        for i in range(out_len)\n"
+     "    ])\n",
+     "every caller trims the product (_list_mul's, as above) or folds it "
+     "to d coefficients (_cyclic_mul)"),
 ]
 
 

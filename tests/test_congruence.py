@@ -108,6 +108,11 @@ def test_q_claims_reject_even_n():
             check(4)
     with pytest.raises(ValueError):
         check_eq1(0)
+    # a negative odd n passes the parity test and must be refused by the pipeline
+    for check in (check_eq1, check_eq2, check_eq3, check_eq4):
+        for method in ("folded", "reduced"):
+            with pytest.raises(ValueError, match="needs n >= 1, got -1"):
+                check(-1, method=method)
 
 
 @pytest.mark.parametrize("method", ["folded", "reduced"])
@@ -230,3 +235,7 @@ def test_values_survive_pickle_and_copy(value):
     for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(clone) is type(value) and clone == value
         assert hash(clone) == hash(value)
+    # and each repr is a constructor call that rebuilds the value
+    ns = {"QPoly": QPoly, "QRat": QRat, "Verdict": Verdict,
+          "CongruenceReport": CongruenceReport, "Fraction": Fraction}
+    assert eval(repr(value), ns) == value
