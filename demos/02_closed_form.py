@@ -11,9 +11,9 @@ single rational expression
       + (9n^2+3n+2) q^n - 2(2q+1)^2 ] / (2(q-1)^3).
 
 Note the denominator 2(q-1)^3: with 2(1-q)^3 instead, every value comes
-out with the wrong sign (checked below).  At q = 1 the expression is
-0/0, a removable singularity, and the exact value n(3n^2-3n+2)/2 is
-served by the specialized formula; q = -1/2 gives (-1/2)^n n(1-3n).
+out with the wrong sign (checked below).  (1-q)^3 divides the numerator
+exactly, so the expression is a polynomial and q = 1 is an ordinary
+point: it gives n(3n^2-3n+2)/2, and q = -1/2 gives (-1/2)^n n(1-3n).
 """
 
 from fractions import Fraction
@@ -63,5 +63,5 @@ print(f"  n=2 at q=2 with 2(q-1)^3:  {right.evaluate(Fraction(2))}")
 print("\nspecializations:")
 for n in (1, 2, 3, 8):
     assert double_sum(n, Fraction(-1, 8)) == special_q_neg_half(n)
-    assert double_sum(n, Fraction(1, 4)) == special_q_one(n)
+    assert double_sum(n, Fraction(1, 4)) == special_q_one(n) == closed_form(n).evaluate(1)
     print(f"  n={n}:  at q=-1/2 -> {special_q_neg_half(n)},  at q=1 -> {special_q_one(n)}")

@@ -16,7 +16,6 @@ from .bigmath import (
 )
 from .closedform import (
     closed_form,
-    closed_form_at,
     closed_form_numerator,
     geometric_S,
     geometric_S_direct,
@@ -44,7 +43,6 @@ from .errors import (
     EvenN,
     NotInvertible,
     NotOddPrime,
-    SingularPoint,
 )
 from .qring import (
     QPoly,

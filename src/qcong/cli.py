@@ -145,13 +145,7 @@ def _cmd_verify(worker, instances: list, jobs: int, fmt: str, out) -> int:
 def _cmd_eval(n: int, q0: Fraction) -> int:
     value = sums.double_sum(n, q0 / 4)
     print(f"double sum   (n={n}, weight (q/4)^k, q={_fmt(q0)}): {_fmt(value)}")
-    if q0 == 1:
-        print(
-            "closed form: q = 1 is a removable singularity of the rational form; "
-            f"specialized value n(3n^2-3n+2)/2 = {_fmt(closedform.special_q_one(n))}"
-        )
-    else:
-        print(f"closed form  (n={n}, q={_fmt(q0)}): {_fmt(closedform.closed_form_at(n, q0))}")
+    print(f"closed form  (n={n}, q={_fmt(q0)}): {_fmt(closedform.closed_form(n).evaluate(q0))}")
     return 0
 
 

@@ -9,9 +9,8 @@ The generating identity verified here: for every n >= 1,
 
 together with the geometric moment sums S_n = sum k q^k and
 T_n = sum k^2 q^k that drive its proof, and the two specializations
-q = -1/2 and q = 1.  The q = 1 point is a removable singularity of the
-rational closed form and is served by the exact specialized value
-instead of a limit.
+q = -1/2 and q = 1.  (1-q)^3 divides the numerator exactly, so the
+closed form is a polynomial and q = 1 is a point like any other.
 
 Each closed form is a sparse integer numerator over a power (1-q)^r,
 r <= 3.  Dividing by 1 - q is one prefix-sum pass, whose last entry is
@@ -25,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import SingularPoint
 from .qring import QPoly, QRat, _trim
 
 
@@ -136,17 +134,3 @@ def special_q_one(n: int) -> Fraction:
         raise ValueError(f"special_q_one needs n >= 1, got {n}")
     return Fraction(n * (3 * n * n - 3 * n + 2), 2)
 
-
-def closed_form_at(n: int, q0) -> Fraction:
-    """Closed form of order n evaluated at the rational point q0.
-
-    q0 = 1 is a removable singularity of the rational expression; exact
-    arithmetic cannot take the limit, so callers are redirected to
-    special_q_one via SingularPoint.
-    """
-    q0 = Fraction(q0)
-    if q0 == 1:
-        raise SingularPoint(
-            "q = 1 is a removable singularity; use special_q_one(n) for the value"
-        )
-    return closed_form(n).evaluate(q0)

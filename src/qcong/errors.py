@@ -23,7 +23,3 @@ class NotOddPrime(ValueError):
 
 class EvenN(ValueError):
     """The congruence is only asserted for odd n."""
-
-
-class SingularPoint(ValueError):
-    """Evaluation requested at a removable singularity of the closed form."""

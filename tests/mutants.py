@@ -49,6 +49,9 @@ FLIPPED_PAIRS = SUMS + "test_folded_double_sum_is_the_pair_sum_on_a_sign_flip"
 NAIVE_DOUBLE = SUMS + "test_q_double_sum_matches_naive"
 FIRST_FAILING = SUMS + "test_reduced_residue_stops_at_the_first_failing_divisor"
 NEGATIVE_N = "tests/test_congruence.py::test_q_claims_reject_even_n"
+UNREDUCED = SUMS + "test_terms_match_unreduced_products_by_evaluation"
+WEIGHT_AT_ONE = SUMS + "test_exponent_form_at_q_one_is_the_scalar_weight"
+BRIDGE = SUMS + "test_folded_residues_at_q_one_are_the_scalar_sums_times_the_denominator"
 CYCLOTOMIC = [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_against_mobius_oracle",
               QRING + "test_cyclotomic_product_equals_q_integer"]
 
@@ -342,6 +345,21 @@ MUTANTS = [
      "inv = 1 if lead == 1 or lead == -1",
      [QRING + "test_divrem_long_division_oracle",
       QRING + "test_poly_inverse_mod_inverts_coprime_residues"]),
+    # exponent form: the "cp" numerator built from 1 - q^(2i+1), as for "c", in place of 1 - q^(4i+2)
+    ("sums.py",
+     "scale, sign, qpow = 2, 1, k * k",
+     "scale, sign, qpow = 1, 1, k * k",
+     [UNREDUCED, WEIGHT_AT_ONE, BRIDGE]),
+    # exponent form: 1 + q^m for odd m given one Phi_2 too many
+    ("qring.py",
+     "return tuple(d for d in _divisors(2 * m) if m % d)",
+     "return tuple(d for d in _divisors(2 * m) if m % d) + (2,) * (m % 2)",
+     [UNREDUCED, WEIGHT_AT_ONE, BRIDGE]),
+    # eval: the closed form read at the weight q/4 instead of at q
+    ("cli.py",
+     "_fmt(closedform.closed_form(n).evaluate(q0))",
+     "_fmt(closedform.closed_form(n).evaluate(q0 / 4))",
+     [CLI + "test_eval_prints_the_closed_form_value_at_q_one"]),
 ]
 
 # (file under src/qcong, old text, new text, why no value changes)

@@ -219,11 +219,10 @@ def test_eval_examples(capsys):
         cli._fmt(1.5)
 
 
-def test_eval_redirects_singular_point(capsys):
+def test_eval_prints_the_closed_form_value_at_q_one(capsys):
     code, out = run_cli(capsys, "eval", "--n", "4", "--q", "1")
     assert code == 0
-    assert "removable singularity" in out
-    assert "76" in out  # n(3n^2-3n+2)/2 at n=4
+    assert out.splitlines()[1] == "closed form  (n=4, q=1): 76"  # n(3n^2-3n+2)/2 at n=4
 
 
 def test_failing_instance_exits_1_and_prints_residue(capsys, monkeypatch):

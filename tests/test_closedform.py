@@ -9,7 +9,6 @@ from qcong import closedform
 from qcong.closedform import (
     _exact_over,
     closed_form,
-    closed_form_at,
     closed_form_numerator,
     geometric_S,
     geometric_S_direct,
@@ -19,7 +18,6 @@ from qcong.closedform import (
     special_q_neg_half,
     special_q_one,
 )
-from qcong.errors import SingularPoint
 from qcong.qring import QPoly, QRat
 from qcong.sums import double_sum
 
@@ -195,28 +193,10 @@ def test_closed_form_matches_double_sum_at_rational_points():
             assert double_sum(n, q0 / 4) == closed_form(n).evaluate(q0), (n, q0)
 
 
-def test_closed_form_at_returns_consistent_record():
-    value = closed_form_at(3, Fraction(-1, 2))
-    assert isinstance(value, Fraction)
-    assert value == closed_form(3).evaluate(Fraction(-1, 2)) == 3
-
-
-def test_closed_form_at_one_refuses_before_building_the_form(monkeypatch):
-    def no_form(n):
-        raise AssertionError("closed_form built for a point it cannot be evaluated at")
-
-    monkeypatch.setattr(closedform, "closed_form", no_form)
-    for q0 in (1, Fraction(3, 3)):
-        with pytest.raises(SingularPoint):
-            closed_form_at(7, q0)
-
-
 def test_q_one_is_a_removable_singularity():
-    with pytest.raises(SingularPoint):
-        closed_form_at(7, 1)
-    # the limit value equals the direct polynomial at q=1, served by special_q_one
-    for n in (1, 2, 7, 20):
-        assert reduced_double_sum_poly(n)(Fraction(1)) == special_q_one(n)
+    # (1-q)^3 divides the numerator out exactly, so q = 1 is evaluated like any point
+    for n in [*range(1, 201), 1000]:
+        assert closed_form(n).evaluate(1) == special_q_one(n), n
 
 
 def test_preconditions():

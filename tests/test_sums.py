@@ -6,11 +6,12 @@ import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qcong.bigmath import is_odd_prime
+from qcong.bigmath import is_odd_prime, rational_mod
 from qcong.closedform import special_q_neg_half
 from qcong.errors import DenominatorNotCoprime, EvenN
 from qcong.qring import (
@@ -1157,3 +1158,73 @@ def test_local_terms_share_their_products(monkeypatch):
         assert len(products) == len(built), family
         binomials = sum(len(num) + len(full) - len(den) for _, _, num, den in built)
         assert 0 < len(rotations) < binomials / 10, family
+
+
+# --- the q -> 1 bridge ---------------------------------------------------------------
+
+# at q = 1 the terms of family "c" and "cp" become the scalar weights C(2k,k)(6k+1)x^k
+X_AT_ONE = {"c": Fraction(-1, 8), "cp": Fraction(1, 4)}
+
+
+def phi_at_one(d):
+    """Phi_d(1) for d > 1: p when d is a power of the prime p, 1 otherwise."""
+    p = next(p for p in range(2, d + 1) if d % p == 0)
+    while d % p == 0:
+        d //= p
+    return p if d == 1 else 1
+
+
+def scalar_weights(x, n):
+    return [math.comb(2 * k, k) * (6 * k + 1) * x**k for k in range(n)]
+
+
+@BY_FAMILY
+def test_exponent_form_at_q_one_is_the_scalar_weight(family):
+    # the exponent form is the folded pipeline's only input; Phi_1(1) = 0,
+    # so a term carrying Phi_1 would vanish or blow up at q = 1
+    weights = scalar_weights(X_AT_ONE[family], 300)
+    for k, weight in enumerate(weights):
+        sign, _, exps = _reduced_term(family, k)
+        assert 1 not in dict(exps), (family, k)
+        num = math.prod(phi_at_one(d) ** e for d, e in exps if e > 0)
+        den = math.prod(phi_at_one(d) ** -e for d, e in exps if e < 0)
+        assert Fraction(sign * num, den) == weight, (family, k)
+
+
+@BY_FAMILY
+def test_folded_residues_at_q_one_are_the_scalar_sums_times_the_denominator(family):
+    # [n] is n at q = 1 and each image is L times its term, so the single
+    # sum's residue at 1 is L(1) S_1 mod n and the double sum's L(1)^2 S_2,
+    # S_1 and S_2 the scalar single and pair sums of the same signed terms.
+    # Unflipped, both sides are 0; with one term negated most are not
+    sides = []
+    for flip in (0, 1, 2):
+        with sign_flipped(flip):
+            for n in range(3, 46, 2):
+                w = [-t if k == flip else t for k, t in enumerate(scalar_weights(X_AT_ONE[family], n))]
+                prefix = list(accumulate(w))
+                single, double = prefix[-1], sum(w[i] * prefix[n - 1 - i] for i in range(n))
+                common = {}
+                for k in range(n):
+                    for d, e in _reduced_term(family, k)[2]:
+                        common[d] = max(common.get(d, 0), -e)
+                L1 = math.prod(phi_at_one(d) ** e for d, e in common.items())
+                for residue, scalar in ((folded_single_sum_residue(family, n), L1 * single),
+                                        (folded_double_sum_residue(family, n), L1**2 * double)):
+                    assert scalar.denominator == 1, (flip, n)
+                    sides.append(residue(1) % n)
+                    assert sides[-1] == scalar % n, (flip, n)
+    assert len(sides) == 132
+    assert sum(map(bool, sides)) > 0.9 * len(sides)
+
+
+@pytest.mark.parametrize("x", list(X_AT_ONE.values()), ids=list(X_AT_ONE))
+def test_scalar_sums_vanish_mod_every_odd_n(x):
+    # eq5 and eq6 claim the double sum vanishes mod odd primes; as the
+    # q -> 1 images of eq3 and eq4 it vanishes mod every odd n, and the
+    # single sum, the image of eq1 and eq2, does too
+    for n in range(3, 1000, 2):
+        assert rational_mod(double_sum(n, x), n) == 0, n
+    single = list(accumulate(scalar_weights(x, 199)))
+    for n in range(3, 200, 2):
+        assert rational_mod(single[n - 1], n) == 0, n
