@@ -45,10 +45,13 @@ and so is coprime to [n] for odd n, and builds each numerator from the
 exponents as an integer polynomial modulo [n]: every product is taken
 modulo q^n - 1 and then reduced modulo [n], which divides it, so the
 summed images already are the residue.  Each pipeline builds its n
-term numerators once per (family, n), family "c" or "cp", from its own
-prefix and suffix chains of shared factors (the folded one splits dense
-rows of the exponents over L) with one product kernel in Z[x]/(x^d - 1),
-_cyclic_mul, checked against oracles that never call it.  What else the
+term numerators once per (family, n), family "c" or "cp", from prefix
+and suffix chains of shared factors, with one product kernel in
+Z[x]/(x^d - 1), _cyclic_mul, checked against oracles that never call
+it.  The reduced one builds chains of binomials for each family; the
+folded one splits dense rows of the exponents of "c" over L into its
+chains and reads "cp" off the images of "c", as
+c'(k) = (-1)^k q^(-2k^2) (-q;q^2)_k c(k) over the same L.  What else the
 pipelines and the oracle share is pinned by tests/test_independence.py.
 """
 
@@ -546,7 +549,28 @@ def _folded_terms(family: str, n: int) -> tuple:
     sum of the N_k does, because L is coprime to [n]: term denominators
     carry only even cyclotomic indices and n is odd.  A denominator
     index d that divides n raises DenominatorNotCoprime.
+
+    Family "cp" is read off "c" and builds no chains: (q^2;q^4)_k =
+    (q;q^2)_k (-q;q^2)_k, so c'(k) = (-1)^k q^(-2k^2) B_k c(k), B_k =
+    (-q;q^2)_k, over the same L.  L carries only d with 4 | d, which no
+    factor 1 + q^(2i+1) of B_k has, as c's exponents are >= 0 at every
+    other d: e_1 = 0; at odd d > 1 the numerator has at least as many
+    1 - q^(2i+1) with d | 2i+1 as the denominator has 1 - q^(4i) with
+    d | i; at d = 2d', d' odd, at least twice as many 1 + q^(2i+1) with
+    d' | 2i+1, and no 1 + q^(4i) has such a d.  B_k is kept mod q^n - 1,
+    one rotate-and-add by 1 + q^(2k-1) per step; each nonempty image of
+    "c", signed and rotated by q^(-2k^2), takes one product by it mod [n].
     """
+    if family == "cp":
+        images, b = [], [1] + [0] * (n - 1)
+        for k, image in enumerate(_folded_terms("c", n)):
+            if k:
+                b = list(map(add, b, _rotate(b, 2 * k - 1)))
+            if image:
+                placed = [(-1) ** k * c for c in _rotate(image + (0,) * (n - len(image)), -2 * k * k)]
+                image = tuple(_qint_mul(placed, b, n))
+            images.append(image)
+        return tuple(images)
     terms = [_reduced_term(family, k) for k in range(n)]
     exps = [dict(e) for _, _, e in terms]
     ds = sorted(set().union(*exps))

@@ -52,6 +52,7 @@ NEGATIVE_N = "tests/test_congruence.py::test_q_claims_reject_even_n"
 UNREDUCED = SUMS + "test_terms_match_unreduced_products_by_evaluation"
 WEIGHT_AT_ONE = SUMS + "test_exponent_form_at_q_one_is_the_scalar_weight"
 BRIDGE = SUMS + "test_folded_residues_at_q_one_are_the_scalar_sums_times_the_denominator"
+CP_FROM_C = SUMS + "test_cp_exponents_are_those_of_c_times_the_odd_plus_pochhammer"
 CYCLOTOMIC = [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_against_mobius_oracle",
               QRING + "test_cyclotomic_product_equals_q_integer"]
 
@@ -109,6 +110,31 @@ MUTANTS = [
      "return _trim([c - top for c in cs] if top else cs)",
      "return _trim(cs)",
      [FOLDED_IMAGES, FULL_DEGREE]),
+    # folded "cp" images: the sign (-1)^k of c'(k) / c(k) dropped
+    ("sums.py",
+     "placed = [(-1) ** k * c for c in",
+     "placed = [c for c in",
+     [FOLDED_IMAGES]),
+    # folded "cp" images: c's image rotated by q^(-k^2) instead of q^(-2k^2)
+    ("sums.py",
+     "-2 * k * k)]",
+     "-k * k)]",
+     [FOLDED_IMAGES]),
+    # folded "cp" images: B_k stepped by 1 + q^(2k+1) instead of 1 + q^(2k-1)
+    ("sums.py",
+     "b = list(map(add, b, _rotate(b, 2 * k - 1)))",
+     "b = list(map(add, b, _rotate(b, 2 * k + 1)))",
+     [FOLDED_IMAGES]),
+    # folded "cp" images: 1 + q^(2k-1) with n | 2k-1 taken as 1, not 1 + q^0 = 2
+    ("sums.py",
+     "            if k:\n                b = list(map(add, b,",
+     "            if k and (2 * k - 1) % n:\n                b = list(map(add, b,",
+     [FOLDED_IMAGES]),
+    # folded "cp" images: the product by B_k left modulo q^n - 1, not reduced modulo [n]
+    ("sums.py",
+     "image = tuple(_qint_mul(placed, b, n))",
+     "image = tuple(_cyclic_mul(placed, b, n))",
+     [FOLDED_IMAGES]),
     # chain split: u taken as a prefix minimum instead of a suffix minimum
     ("sums.py",
      "us = list(accumulate(reversed(rows), rowmin))[::-1]",
@@ -345,11 +371,12 @@ MUTANTS = [
      "inv = 1 if lead == 1 or lead == -1",
      [QRING + "test_divrem_long_division_oracle",
       QRING + "test_poly_inverse_mod_inverts_coprime_residues"]),
-    # exponent form: the "cp" numerator built from 1 - q^(2i+1), as for "c", in place of 1 - q^(4i+2)
+    # exponent form: the "cp" numerator built from 1 - q^(2i+1), as for "c", in place of 1 - q^(4i+2);
+    # the folded images of "cp" are read off those of "c", so the q -> 1 bridge no longer sees it
     ("sums.py",
      "scale, sign, qpow = 2, 1, k * k",
      "scale, sign, qpow = 1, 1, k * k",
-     [UNREDUCED, WEIGHT_AT_ONE, BRIDGE]),
+     [UNREDUCED, WEIGHT_AT_ONE, CP_FROM_C]),
     # exponent form: 1 + q^m for odd m given one Phi_2 too many
     ("qring.py",
      "return tuple(d for d in _divisors(2 * m) if m % d)",
@@ -359,7 +386,7 @@ MUTANTS = [
     ("cli.py",
      "_fmt(closedform.closed_form(n).evaluate(q0))",
      "_fmt(closedform.closed_form(n).evaluate(q0 / 4))",
-     [CLI + "test_eval_prints_the_closed_form_value_at_q_one"]),
+     [CLI + "test_eval_prints_the_closed_form_value_at_q_one", CLI + "test_eval_examples"]),
 ]
 
 # (file under src/qcong, old text, new text, why no value changes)

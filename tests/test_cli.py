@@ -200,20 +200,19 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 
 
 def test_eval_examples(capsys):
-    code, out = run_cli(capsys, "eval", "--n", "2", "--q", "2")
-    assert code == 0
-    assert "15" in out
-    code, out = run_cli(capsys, "eval", "--n", "1", "--q", "17/3")
-    assert code == 0
-    assert out.count(": 1") == 2
-    code, out = run_cli(capsys, "eval", "--n", "3", "--q", "-1/2")
-    assert code == 0
-    assert ": 3" in out
+    # both lines compared whole, so the closed-form line is read on its own
+    for n, q, value in (("2", "2", "15"), ("1", "17/3", "1"), ("3", "-1/2", "3"), ("3", "-1/10", "13/25")):
+        code, out = run_cli(capsys, "eval", "--n", n, "--q", q)
+        assert code == 0
+        assert out.splitlines() == [
+            f"double sum   (n={n}, weight (q/4)^k, q={q}): {value}",
+            f"closed form  (n={n}, q={q}): {value}",
+        ]
     # every spelling of a negative rational is a value, not an unknown option
+    out = run_cli(capsys, "eval", "--n", "3", "--q", "-1/2")[1]
     for q in ("-0.5", "-.5", "-5e-1"):
         assert run_cli(capsys, "eval", "--n", "3", "--q", q) == (0, out)
-    code, out = run_cli(capsys, "eval", "--n", "3", "--q", "-1e-1")
-    assert code == 0 and "q=-1/10): 13/25" in out
+    assert run_cli(capsys, "eval", "--n", "3", "--q", "-1e-1") == run_cli(capsys, "eval", "--n", "3", "--q", "-1/10")
     # a float is never a record value: rendering one is refused, not rounded
     with pytest.raises(TypeError):
         cli._fmt(1.5)

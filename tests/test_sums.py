@@ -4,6 +4,7 @@ import contextlib
 import math
 import operator
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
@@ -298,17 +299,24 @@ def test_the_three_weights_share_one_central_binomial_list(fresh_weights, first)
 def test_memos_grown_by_threads_hold_exact_values(fresh_weights):
     # threads switching every microsecond grow the central binomials, three
     # weight lists and one Horner run together; each writes entry j at index
-    # j, so a thread that lags behind rewrites equal values and none is misplaced
+    # j, so a thread that lags behind rewrites equal values and none is
+    # misplaced.  A barrier starts the threads together, so their growth
+    # overlaps instead of the first thread finishing before the last starts;
+    # every other trial keeps the central binomials, so the threads go
+    # straight to the weight lists
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(10):
-            sums._central[1:] = []
+        for trial in range(10):
+            if trial % 2 == 0:
+                sums._central[1:] = []
             sums._weights.cache_clear()
             inner_conv_sum.cache_clear()
             sums._horner_numerators.cache_clear()
+            start = threading.Barrier(4)
 
             def grow(i):
+                start.wait()
                 plain_conv_sum(400 + i)
                 weighted_conv_sum(380 + i)
                 double_sum(299 - i, Fraction(-1, 8))
@@ -317,6 +325,8 @@ def test_memos_grown_by_threads_hold_exact_values(fresh_weights):
                 for future in [pool.submit(grow, i) for i in range(4)]:
                     future.result()
             assert sums._central == [math.comb(2 * j, j) for j in range(len(sums._central))]
+            assert all(plain_conv_sum(k) == 4**k for k in range(404))
+            assert all(weighted_conv_sum(k) == 4**k * k * (k - 1) // 8 for k in range(384))
             assert all(inner_conv_sum(k) == inner_closed(k) for k in range(420))
             assert all(double_sum(n, Fraction(-1, 8)) == special_q_neg_half(n) for n in range(1, 300))
     finally:
@@ -1092,9 +1102,11 @@ def test_failing_folded_residue_is_the_full_degree_remainder(monkeypatch, family
 
 def test_folded_terms_share_their_products(monkeypatch):
     # one multiply per cyclotomic factor would be sum_k sum_d m_k(d) products;
-    # the chain plan of both families at n = 45 takes exactly 2,844, none
-    # of them on an image that is already zero
+    # at n = 45 the chain plan of "c" takes exactly 1,357, none of them on
+    # an image that is already zero, and "cp", read off the cached "c",
+    # one per nonzero image of "c": 43
     n, calls = 45, []
+    c_images = _folded_terms("c", n)
     real = sums._cyclic_mul
     monkeypatch.setattr(sums, "_cyclic_mul", lambda a, b, m: calls.append(m) or real(a, b, m))
     factors = 0
@@ -1102,20 +1114,62 @@ def test_folded_terms_share_their_products(monkeypatch):
         _folded_terms.__wrapped__(family, n)
         factors += sum(sum(m.values()) for _, _, m in _image_exponents(family, n))
     assert 0 < len(calls) < factors / 5
-    assert len(calls) == 2844
+    assert sum(map(bool, c_images)) == 43
+    assert len(calls) == 1357 + 43
 
 
 @pytest.mark.parametrize("family", ["c", "cp"])
 def test_folded_terms_split_the_numerator_exponents(monkeypatch, family):
-    # the chain plan gets one row m_k = e(k) + L per term, a column per
-    # cyclotomic index, ascending: the exponents over the common denominator
-    n, seen = 21, []
-    real = sums._chain_split
-    monkeypatch.setattr(sums, "_chain_split", lambda rows: seen.append(rows) or real(rows))
+    # the chain plan gets one row m_k = e(k) + L per term of "c", a column
+    # per cyclotomic index, ascending: the exponents over the common
+    # denominator; "cp" splits no rows of its own and reads no exponents
+    # of its own, it is built from the images of "c"
+    n, seen, families = 21, [], set()
+    real_split, real_term = sums._chain_split, sums._reduced_term
+    _folded_terms.cache_clear()
+    monkeypatch.setattr(sums, "_chain_split", lambda rows: seen.append(rows) or real_split(rows))
+    monkeypatch.setattr(sums, "_reduced_term", lambda f, k: families.add(f) or real_term(f, k))
     _folded_terms.__wrapped__(family, n)
-    ms = [m for _, _, m in _image_exponents(family, n)]
+    ms = [m for _, _, m in _image_exponents("c", n)]
     ds = sorted(set().union(*ms))
     assert seen == [[[m.get(d, 0) for d in ds] for m in ms]]
+    assert families == {"c"}
+
+
+def test_cp_exponents_are_those_of_c_times_the_odd_plus_pochhammer():
+    # (q^2;q^4)_k = (q;q^2)_k (-q;q^2)_k, so c'(k) = (-1)^k q^(-2k^2) B_k c(k)
+    # with B_k = prod_{i<k} (1 + q^(2i+1)): the premise on which
+    # _folded_terms builds the images of "cp" from those of "c"
+    b = {}
+    for k in range(300):
+        if k:
+            m = 2 * k - 1  # Phi_d divides 1 + q^m iff d | 2m and d does not divide m
+            for d in range(1, 2 * m + 1):
+                if 2 * m % d == 0 and m % d:
+                    b[d] = b.get(d, 0) + 1
+        sign_c, qpow_c, exps_c = _reduced_term("c", k)
+        sign_cp, qpow_cp, exps_cp = _reduced_term("cp", k)
+        expected = dict(exps_c)
+        for d, e in b.items():
+            expected[d] = expected.get(d, 0) + e
+        assert exps_cp == tuple(sorted((d, e) for d, e in expected.items() if e)), k
+        assert (sign_cp, qpow_cp) == ((-1) ** k * sign_c, qpow_c - 2 * k * k), k
+
+
+def test_c_and_cp_share_one_common_denominator_on_indices_divisible_by_four():
+    # L_d = max over k < n of -e_d(k); B_k's factors 1 + q^(2i+1) carry only
+    # d = 2 mod 4, so the images of "cp" are over the L of "c"
+    common = {"c": {}, "cp": {}}
+    for k in range(199):
+        for family, den in common.items():
+            for d, e in _reduced_term(family, k)[2]:
+                if e < 0:
+                    den[d] = max(den.get(d, 0), -e)
+        n = k + 1
+        if n % 2:
+            assert common["c"] == common["cp"], n
+            assert all(d % 4 == 0 for d in common["c"]), n
+    assert common["c"]
 
 
 def test_folded_terms_build_no_counter(monkeypatch):
