@@ -109,12 +109,10 @@ def _all_int(cs) -> bool:
 
 def _list_mul(a: list, b: list) -> list:
     """Coefficient-list product, untrimmed; sparse-aware, big-int packed when profitable."""
-    nza = sum(1 for c in a if c)
-    nzb = sum(1 for c in b if c)
-    if nza > nzb:
-        a, b = b, a
-        nza, nzb = nzb, nza
-    if nza * len(b) > 4096 and _all_int(a) and _all_int(b):
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if na > nb:
+        a, b, na = b, a, nb
+    if na * len(b) > 4096 and _all_int(a) and _all_int(b):
         return _intpoly_mul(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):

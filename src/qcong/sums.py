@@ -436,16 +436,19 @@ def _local_images(family: str, n: int) -> dict:
     """{d: depth-1 images at d} over d | n, d > 1, of the numerators M_k over D = _common_den_binomials(n).
 
     M_k = sign * q^qpow * (numerator binomials) * (D / term denominator)
-    is t^c_k times a series, c_k the number of its vanishing binomials.
+    is t^c_k times a series, c_k the number of its vanishing binomials;
     Phi_d divides D m_d times, so c_k >= m_d, or DenominatorNotCoprime is
-    raised.  Image k is the t^m_d coefficient of M_k, () if c_k > m_d, or
-    else the product of the binomial images of a prefix of the last
-    term's Pochhammer binomials, a suffix of D and (1 - q^(6k+1)): at each
-    d one prefix and one suffix chain keep the products the terms index.
+    raised.  Image k is the t^m_d coefficient of M_k: () if c_k > m_d, else
+    the product of the images of a prefix of the last term's Pochhammer, a
+    suffix of D and (1 - q^(6k+1)), read off one prefix and one suffix chain
+    per d.  Term k's lists are read once into five numbers and let go.
     """
     full = _common_den_binomials(n)
-    terms = [_term_binomials(family, k) for k in range(n)]
-    pochhammer = terms[-1][2][:-1]
+    records = []
+    for k in range(n):
+        sign, qpow, num, den = _term_binomials(family, k)
+        records.append((sign, qpow, num[-1], len(num) - 1, len(den)))
+    pochhammer = num[:-1]
     out = {}
     for d in _divisors(n)[1:]:
         def vanishes(f) -> bool:
@@ -453,23 +456,23 @@ def _local_images(family: str, n: int) -> dict:
 
         def times(a: list, f) -> list:
             s, m = f
-            return [-m * c for c in a] if vanishes(f) else [u - s * v for u, v in zip(a, _rotate(a, m))]
+            return [-m * c for c in a] if vanishes(f) else list(map(sub if s == 1 else add, a, _rotate(a, m)))
 
         def chain(binomials: list, stops: set) -> dict:
             products = accumulate(binomials[: max(stops)], times, initial=[1] + [0] * (d - 1))
             return {j: p for j, p in enumerate(products) if j in stops}
 
         num_depth, den_depth = (list(accumulate(map(vanishes, fs), initial=0)) for fs in (pochhammer, full))
-        excess = [den_depth[len(den)] - num_depth[len(num) - 1] - vanishes(num[-1]) for *_, num, den in terms]
+        excess = [den_depth[dl] - num_depth[pl] - vanishes(own) for _, _, own, pl, dl in records]
         if max(excess) > 0:
             raise DenominatorNotCoprime(f"Phi_{d} is left in the reduced denominator and divides [{n}]")
         built = [k for k, e in enumerate(excess) if not e]
-        pre = chain(pochhammer, {len(terms[k][2]) - 1 for k in built})
-        suf = chain(full[::-1], {len(full) - len(terms[k][3]) for k in built})
+        pre = chain(pochhammer, {records[k][3] for k in built})
+        suf = chain(full[::-1], {len(full) - records[k][4] for k in built})
         images = [()] * n
         for k in built:
-            sign, qpow, num, den = terms[k]
-            product = times(_cyclic_mul(pre[len(num) - 1], suf[len(full) - len(den)], d), num[-1])
+            sign, qpow, own, pl, dl = records[k]
+            product = times(_cyclic_mul(pre[pl], suf[len(full) - dl], d), own)
             images[k] = tuple(sign * c for c in _rotate(product, qpow))
         out[d] = tuple(images)
     return out
@@ -559,7 +562,7 @@ def _folded_terms(family: str, n: int) -> tuple:
     d | i; at d = 2d', d' odd, at least twice as many 1 + q^(2i+1) with
     d' | 2i+1, and no 1 + q^(4i) has such a d.  B_k is kept mod q^n - 1,
     one rotate-and-add by 1 + q^(2k-1) per step; each nonempty image of
-    "c", signed and rotated by q^(-2k^2), takes one product by it mod [n].
+    "c" takes one product mod [n] by it, signed and rotated by q^(-2k^2).
     """
     if family == "cp":
         images, b = [], [1] + [0] * (n - 1)
@@ -567,8 +570,7 @@ def _folded_terms(family: str, n: int) -> tuple:
             if k:
                 b = list(map(add, b, _rotate(b, 2 * k - 1)))
             if image:
-                placed = [(-1) ** k * c for c in _rotate(image + (0,) * (n - len(image)), -2 * k * k)]
-                image = tuple(_qint_mul(placed, b, n))
+                image = tuple(_qint_mul(image, [(-1) ** k * c for c in _rotate(b, -2 * k * k)], n))
             images.append(image)
         return tuple(images)
     terms = [_reduced_term(family, k) for k in range(n)]

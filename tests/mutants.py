@@ -34,6 +34,7 @@ QRING = "tests/test_qring.py::"
 SUMS = "tests/test_sums.py::"
 
 LOCAL_IMAGES = SUMS + "test_local_images_are_the_leading_local_coefficients"
+ONE_TERM_LIVE = SUMS + "test_reduced_build_holds_one_term_of_binomial_lists"
 SIGN_FLIPS = SUMS + "test_reduced_verdict_matches_oracle_on_sign_flips"
 FOLDED_IMAGES = SUMS + "test_folded_images_match_full_degree_products"
 CENTRAL = SUMS + "test_central_binomial_list_is_math_comb_through_1500"
@@ -59,37 +60,56 @@ CYCLOTOMIC = [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_again
 MUTANTS = [
     # reduced images: the prefix chain one Pochhammer binomial too long
     ("sums.py",
-     "        pre = chain(pochhammer, {len(terms[k][2]) - 1 for k in built})\n"
-     "        suf = chain(full[::-1], {len(full) - len(terms[k][3]) for k in built})\n"
+     "        pre = chain(pochhammer, {records[k][3] for k in built})\n"
+     "        suf = chain(full[::-1], {len(full) - records[k][4] for k in built})\n"
      "        images = [()] * n\n"
      "        for k in built:\n"
-     "            sign, qpow, num, den = terms[k]\n"
-     "            product = times(_cyclic_mul(pre[len(num) - 1],",
-     "        pre = chain(pochhammer, {len(terms[k][2]) for k in built})\n"
-     "        suf = chain(full[::-1], {len(full) - len(terms[k][3]) for k in built})\n"
+     "            sign, qpow, own, pl, dl = records[k]\n"
+     "            product = times(_cyclic_mul(pre[pl],",
+     "        pre = chain(pochhammer, {records[k][3] + 1 for k in built})\n"
+     "        suf = chain(full[::-1], {len(full) - records[k][4] for k in built})\n"
      "        images = [()] * n\n"
      "        for k in built:\n"
-     "            sign, qpow, num, den = terms[k]\n"
-     "            product = times(_cyclic_mul(pre[len(num)],",
+     "            sign, qpow, own, pl, dl = records[k]\n"
+     "            product = times(_cyclic_mul(pre[pl + 1],",
      [LOCAL_IMAGES, SIGN_FLIPS]),
     # reduced images: the suffix chain one binomial of D too long
     ("sums.py",
-     "        suf = chain(full[::-1], {len(full) - len(terms[k][3]) for k in built})\n"
+     "        suf = chain(full[::-1], {len(full) - records[k][4] for k in built})\n"
      "        images = [()] * n\n"
      "        for k in built:\n"
-     "            sign, qpow, num, den = terms[k]\n"
-     "            product = times(_cyclic_mul(pre[len(num) - 1], suf[len(full) - len(den)], d), num[-1])",
-     "        suf = chain(full[::-1], {len(full) - len(terms[k][3]) + 1 for k in built})\n"
+     "            sign, qpow, own, pl, dl = records[k]\n"
+     "            product = times(_cyclic_mul(pre[pl], suf[len(full) - dl], d), own)",
+     "        suf = chain(full[::-1], {len(full) - records[k][4] + 1 for k in built})\n"
      "        images = [()] * n\n"
      "        for k in built:\n"
-     "            sign, qpow, num, den = terms[k]\n"
-     "            product = times(_cyclic_mul(pre[len(num) - 1], suf[len(full) - len(den) + 1], d), num[-1])",
+     "            sign, qpow, own, pl, dl = records[k]\n"
+     "            product = times(_cyclic_mul(pre[pl], suf[len(full) - dl + 1], d), own)",
      [LOCAL_IMAGES, SIGN_FLIPS]),
     # reduced images: a term's own last binomial 1 - q^(6k+1) dropped
     ("sums.py",
-     "product = times(_cyclic_mul(pre[len(num) - 1], suf[len(full) - len(den)], d), num[-1])",
-     "product = _cyclic_mul(pre[len(num) - 1], suf[len(full) - len(den)], d)",
+     "product = times(_cyclic_mul(pre[pl], suf[len(full) - dl], d), own)",
+     "product = _cyclic_mul(pre[pl], suf[len(full) - dl], d)",
      [LOCAL_IMAGES, SIGN_FLIPS]),
+    # reduced images: a term's Pochhammer length read as its whole numerator's, own binomial included
+    ("sums.py",
+     "records.append((sign, qpow, num[-1], len(num) - 1, len(den)))",
+     "records.append((sign, qpow, num[-1], len(num), len(den)))",
+     [LOCAL_IMAGES]),
+    # reduced images: a non-vanishing binomial 1 - s*q^m stepped as 1 + s*q^m
+    ("sums.py",
+     "list(map(sub if s == 1 else add, a, _rotate(a, m)))",
+     "list(map(add if s == 1 else sub, a, _rotate(a, m)))",
+     [LOCAL_IMAGES]),
+    # reduced images: every term's binomial lists made before any is read, so all n stay alive
+    ("sums.py",
+     "    records = []\n"
+     "    for k in range(n):\n"
+     "        sign, qpow, num, den = _term_binomials(family, k)\n",
+     "    terms = [_term_binomials(family, k) for k in range(n)]\n"
+     "    records = []\n"
+     "    for sign, qpow, num, den in terms:\n",
+     [ONE_TERM_LIVE]),
     # reduced images: terms deeper than m_d built too, instead of left ()
     ("sums.py",
      "built = [k for k, e in enumerate(excess) if not e]",
@@ -112,13 +132,18 @@ MUTANTS = [
      [FOLDED_IMAGES, FULL_DEGREE]),
     # folded "cp" images: the sign (-1)^k of c'(k) / c(k) dropped
     ("sums.py",
-     "placed = [(-1) ** k * c for c in",
-     "placed = [c for c in",
+     "_qint_mul(image, [(-1) ** k * c for c in",
+     "_qint_mul(image, [c for c in",
      [FOLDED_IMAGES]),
-    # folded "cp" images: c's image rotated by q^(-k^2) instead of q^(-2k^2)
+    # folded "cp" images: B_k rotated by q^(-k^2) instead of q^(-2k^2)
     ("sums.py",
-     "-2 * k * k)]",
-     "-k * k)]",
+     "_rotate(b, -2 * k * k)]",
+     "_rotate(b, -k * k)]",
+     [FOLDED_IMAGES]),
+    # folded "cp" images: B_k rotated by q^(2k^2) instead of q^(-2k^2)
+    ("sums.py",
+     "_rotate(b, -2 * k * k)]",
+     "_rotate(b, 2 * k * k)]",
      [FOLDED_IMAGES]),
     # folded "cp" images: B_k stepped by 1 + q^(2k+1) instead of 1 + q^(2k-1)
     ("sums.py",
@@ -132,8 +157,8 @@ MUTANTS = [
      [FOLDED_IMAGES]),
     # folded "cp" images: the product by B_k left modulo q^n - 1, not reduced modulo [n]
     ("sums.py",
-     "image = tuple(_qint_mul(placed, b, n))",
-     "image = tuple(_cyclic_mul(placed, b, n))",
+     "image = tuple(_qint_mul(image,",
+     "image = tuple(_cyclic_mul(image,",
      [FOLDED_IMAGES]),
     # chain split: u taken as a prefix minimum instead of a suffix minimum
     ("sums.py",
@@ -405,6 +430,11 @@ EQUIVALENT = [
      "if na * d >= 2048:",
      "both branches are exact, so moving the threshold by one only changes "
      "which of them computes a product at exactly 2048 additions"),
+    ("qring.py",
+     "        a, b, na = b, a, nb\n",
+     "        a, b = b, a\n",
+     "both branches are exact, so a stale count of nonzeros, the denser "
+     "operand's, only changes which of them computes a product"),
     ("qring.py",
      "                    out[i + j] += ca * cb\n    return out\n",
      "                    out[i + j] += ca * cb\n    return _trim(out)\n",

@@ -5,6 +5,7 @@ import math
 import operator
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
@@ -775,6 +776,33 @@ def test_local_images_build_the_terms_once_for_every_divisor(monkeypatch):
         images = _local_images.__wrapped__(family, n)
         assert sorted(images) == [3, 5, 9, 15, 45], family
         assert len(calls) == n, family
+
+
+def test_reduced_build_holds_one_term_of_binomial_lists(monkeypatch):
+    # each term's two binomial lists are read into a few numbers and let go,
+    # so when term k is asked for, only term k - 1's pair is still alive;
+    # holding all n terms' lists would cost O(n^2) memory
+    class Binomials(list):
+        """A list that can be weakly referenced."""
+
+    real, live, peaks = sums._term_binomials, [0], []
+
+    def release():
+        live[0] -= 1
+
+    def counted(family, k):
+        peaks.append(live[0])
+        sign, qpow, num, den = real(family, k)
+        num, den = Binomials(num), Binomials(den)
+        for fs in (num, den):
+            live[0] += 1
+            weakref.finalize(fs, release)
+        return sign, qpow, num, den
+
+    monkeypatch.setattr(sums, "_term_binomials", counted)
+    _local_images.__wrapped__("c", 45)
+    assert len(peaks) == 45
+    assert max(peaks) <= 2, max(peaks)
 
 
 @st.composite
