@@ -6,7 +6,7 @@ rational double sums with geometric weights x^k.  Each convolution is a
 self-convolution sum_j a_j a_(k-j) of one weight sequence a_j =
 C(2j,j) w(j), w linear in j, summed directly by _self_convolution over
 half the range, j <-> k-j, from a cached list of the a_j.  The three
-weight lists share one list of the C(2j,j), grown by the exact ratio
+weight lists grow from one, the plain weights C(2j,j), grown by the ratio
 C(2j,j) = C(2j-2,j-1) * 2(2j-1) / j, so no binomial is recomputed.
 The double sums of one weight x = a/b share one Horner run over
 integer numerators, so each big-int product is taken once per weight
@@ -86,13 +86,11 @@ from .qring import (
 # integer convolution sums
 # ---------------------------------------------------------------------------
 
-_central = [1]  # C(2j,j) for j < len(_central), shared by every weight; _self_convolution grows it
-
 
 @lru_cache(maxsize=None)
 def _weights(slope: int, intercept: int) -> list:
-    """The weights a_0, a_1, ... with a_j = C(2j,j) * (slope*j + intercept); _self_convolution grows it."""
-    return []
+    """a_0 = intercept, a_1, ... with a_j = C(2j,j) * (slope*j + intercept); _self_convolution grows it."""
+    return [intercept]
 
 
 def _self_convolution(slope: int, intercept: int, k: int) -> int:
@@ -102,7 +100,7 @@ def _self_convolution(slope: int, intercept: int, k: int) -> int:
     j < (k+1)/2, plus the middle square a_(k/2)^2 at even k: about k/2
     big-int products over the cached weights, still a direct summation.
     """
-    a, c = _weights(slope, intercept), _central
+    a, c = _weights(slope, intercept), _weights(0, 1)  # c: the C(2j,j), grown first
     if len(a) <= k:
         # entry j is written at index j, so threads growing one list write equal values to it
         for j in range(len(c), k + 1):
@@ -149,8 +147,8 @@ def weighted_conv_sum(k: int) -> int:
 
 @lru_cache(maxsize=8)
 def _horner_numerators(a: int, b: int) -> list:
-    """N_1, N_2, ... of double_sum at the weight a/b; double_sum grows it."""
-    return []
+    """N_1, N_2, ... of double_sum at the weight a/b, from N_1 = inner_conv_sum(0); double_sum grows it."""
+    return [inner_conv_sum(0)]
 
 
 def double_sum(n: int, x) -> Fraction:
@@ -170,7 +168,7 @@ def double_sum(n: int, x) -> Fraction:
     a, b = x.numerator, x.denominator
     nums = _horner_numerators(a, b)
     for k in range(len(nums), n):
-        nums[k : k + 1] = [(nums[k - 1] * b if k else 0) + inner_conv_sum(k) * a**k]
+        nums[k : k + 1] = [nums[k - 1] * b + inner_conv_sum(k) * a**k]
     return Fraction(nums[n - 1], b ** (n - 1))
 
 

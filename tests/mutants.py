@@ -267,9 +267,19 @@ MUTANTS = [
      [THREADED_MEMOS]),
     # Horner numerators: grown by append, as the central binomials above
     ("sums.py",
-     "nums[k : k + 1] = [(nums[k - 1] * b if k else 0) + inner_conv_sum(k) * a**k]",
-     "nums.append((nums[-1] * b if nums else 0) + inner_conv_sum(k) * a**k)",
+     "nums[k : k + 1] = [nums[k - 1] * b + inner_conv_sum(k) * a**k]",
+     "nums.append(nums[-1] * b + inner_conv_sum(k) * a**k)",
      [THREADED_MEMOS]),
+    # weights: every list seeded with a_0 = 1, so the weighted convolution's a_0 = 0 is lost
+    ("sums.py",
+     "    return [intercept]\n",
+     "    return [1]\n",
+     [SUMS + "test_weighted_conv_sum"]),
+    # Horner numerators: seeded with 0 in place of N_1 = inner_conv_sum(0)
+    ("sums.py",
+     "    return [inner_conv_sum(0)]\n",
+     "    return [0]\n",
+     [SUMS + "test_double_sum_examples"]),
     # QPoly text: the monomial q rendered as q^1
     ("qring.py",
      'for m in ["q" if e == 1 else f"q^{e}"]',
@@ -407,6 +417,16 @@ MUTANTS = [
      "return tuple(d for d in _divisors(2 * m) if m % d)",
      "return tuple(d for d in _divisors(2 * m) if m % d) + (2,) * (m % 2)",
      [UNREDUCED, WEIGHT_AT_ONE, BRIDGE]),
+    # scan faults: only qcong's own error classes turned into exit 3, so others escape with exit 1
+    ("cli.py",
+     "except Exception as exc:",
+     "except (ArithmeticError, ValueError) as exc:",
+     [CLI + "test_any_fault_inside_a_scan_exits_3", CLI + "test_a_killed_worker_exits_3"]),
+    # closed output: a broken pipe no longer told apart, so it exits 3 with a message
+    ("cli.py",
+     "except BrokenPipeError:",
+     "except ZeroDivisionError:",
+     [CLI + "test_closed_stdout_exits_141_quietly"]),
     # eval: the closed form read at the weight q/4 instead of at q
     ("cli.py",
      "_fmt(closedform.closed_form(n).evaluate(q0))",

@@ -314,6 +314,56 @@ def test_pipeline_value_error_exits_3_without_traceback(capsys, monkeypatch):
     assert [json.loads(line)["instance"] for line in captured.out.splitlines()] == [1]
 
 
+@pytest.mark.parametrize("fault, message", [(TypeError("cannot format NoneType"), "cannot format NoneType"),
+                                            (MemoryError(), "MemoryError")],
+                         ids=["message", "empty"])
+def test_any_fault_inside_a_scan_exits_3(capsys, monkeypatch, fault, message):
+    # not only qcong's ArithmeticError and ValueError: an empty message prints the type's name
+    from qcong import congruence
+
+    real = congruence.check_eq1
+
+    def broken(n, *rest):
+        if n >= 3:
+            raise fault
+        return real(n, *rest)
+
+    monkeypatch.setattr(congruence, "check_eq1", broken)
+    code = main(["verify", "congruence", "--id", "eq1", "--limit", "5", "--format", "json"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"qcong: internal inconsistency: {message}\n"
+    # the record written before the fault stays
+    assert [json.loads(line)["instance"] for line in captured.out.splitlines()] == [1]
+
+
+def test_a_killed_worker_exits_3():
+    # a --jobs worker that dies breaks the pool; that is a fault of the scan, not a failing claim.
+    # fork hands the patched check to the workers, and two CPUs are reported so a pool runs
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = """
+import multiprocessing, os, sys
+from qcong import cli, congruence
+
+multiprocessing.set_start_method("fork")
+real = congruence.check_eq1
+
+def dies_at_7(n, *rest):
+    if n == 7:
+        os._exit(9)
+    return real(n, *rest)
+
+congruence.check_eq1 = dies_at_7
+os.cpu_count = lambda: 2
+sys.exit(cli.main(["verify", "congruence", "--id", "eq1", "--limit", "15", "--jobs", "2"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("qcong: internal inconsistency: A process in the process pool")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_closed_stdout_exits_141_quietly(jobs):
     # a reader that stops early, like `| head -1`, is neither a failed claim nor a crash

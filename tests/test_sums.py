@@ -269,9 +269,9 @@ def test_conv_sums_match_direct_summation_through_300():
 
 
 @pytest.fixture
-def fresh_weights(monkeypatch):
-    # an empty central-binomial list and weight lists, so the test grows them from the start
-    monkeypatch.setattr(sums, "_central", [1])
+def fresh_weights():
+    # fresh weight lists, the central binomials _weights(0, 1) among them, so the test grows them
+    # from the start
     sums._weights.cache_clear()
     inner_conv_sum.cache_clear()
     yield
@@ -283,18 +283,21 @@ def test_central_binomial_list_is_math_comb_through_1500(fresh_weights):
     # grown by the ratio in two steps, so the second starts from a long list
     sums._self_convolution(0, 1, 700)
     sums._self_convolution(6, 1, 1500)
-    assert sums._central == [math.comb(2 * j, j) for j in range(1501)]
+    assert sums._weights(0, 1) == [math.comb(2 * j, j) for j in range(1501)]
 
 
 @pytest.mark.parametrize("first", [inner_conv_sum, plain_conv_sum, weighted_conv_sum],
                          ids=["inner", "plain", "weighted"])
 def test_the_three_weights_share_one_central_binomial_list(fresh_weights, first):
-    central = sums._central
+    central = sums._weights(0, 1)
     first(90)
     assert len(central) == 91
     for conv in (inner_conv_sum, plain_conv_sum, weighted_conv_sum):
         conv(90)
-        assert sums._central is central and len(central) == 91
+        assert sums._weights(0, 1) is central and len(central) == 91
+    # and plain_conv_sum grows that very list past them
+    plain_conv_sum(120)
+    assert sums._weights(0, 1) is central and len(central) == 121
 
 
 def test_memos_grown_by_threads_hold_exact_values(fresh_weights):
@@ -303,15 +306,18 @@ def test_memos_grown_by_threads_hold_exact_values(fresh_weights):
     # j, so a thread that lags behind rewrites equal values and none is
     # misplaced.  A barrier starts the threads together, so their growth
     # overlaps instead of the first thread finishing before the last starts;
-    # every other trial keeps the central binomials, so the threads go
-    # straight to the weight lists
+    # every other trial keeps the central binomials _weights(0, 1) and
+    # empties only the other two weight lists, so the threads go straight
+    # to those
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(10):
             if trial % 2 == 0:
-                sums._central[1:] = []
-            sums._weights.cache_clear()
+                sums._weights.cache_clear()
+            else:
+                for slope, intercept in ((6, 1), (1, 0)):
+                    sums._weights(slope, intercept)[1:] = []
             inner_conv_sum.cache_clear()
             sums._horner_numerators.cache_clear()
             start = threading.Barrier(4)
@@ -325,7 +331,8 @@ def test_memos_grown_by_threads_hold_exact_values(fresh_weights):
             with ThreadPoolExecutor(4) as pool:
                 for future in [pool.submit(grow, i) for i in range(4)]:
                     future.result()
-            assert sums._central == [math.comb(2 * j, j) for j in range(len(sums._central))]
+            central = sums._weights(0, 1)
+            assert central == [math.comb(2 * j, j) for j in range(len(central))]
             assert all(plain_conv_sum(k) == 4**k for k in range(404))
             assert all(weighted_conv_sum(k) == 4**k * k * (k - 1) // 8 for k in range(384))
             assert all(inner_conv_sum(k) == inner_closed(k) for k in range(420))
