@@ -13,8 +13,10 @@ newline-delimited.  The process pool and the multiprocessing modules
 under it load only when more than one worker runs, so a --jobs 1 scan
 starts without them.  Exit codes: 0 when every checked instance holds,
 1 when any fails, 2 on usage errors (an --out that cannot be opened
-among them), 3 on any error raised inside a scan (records already written
-stay), 141 when the reader closes the output early (a shell's SIGPIPE status).
+among them), 3 on any error raised inside a scan or eval (records already
+written stay; an OSError, such as a full disk, is reported as a system
+error), 141 when the reader closes the output early (a shell's SIGPIPE
+status).
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ def _cmd_verify(worker, instances: list, jobs: int, fmt: str, out) -> int:
 def _cmd_eval(n: int, q0: Fraction) -> int:
     value = sums.double_sum(n, q0 / 4)
     print(f"double sum   (n={n}, weight (q/4)^k, q={_fmt(q0)}): {_fmt(value)}")
-    print(f"closed form  (n={n}, q={_fmt(q0)}): {_fmt(closedform.closed_form(n).evaluate(q0))}")
+    closed = closedform.closed_form(n).evaluate(q0)
+    # flushed here, so a closed output is seen inside main's try, not at exit
+    print(f"closed form  (n={n}, q={_fmt(q0)}): {_fmt(closed)}", flush=True)
     return 0
 
 
@@ -197,34 +201,38 @@ def main(argv=None) -> int:
     if args.command == "eval":
         if args.n < 1:
             error(f"--n must be >= 1, got {args.n}")
-        return _cmd_eval(args.n, args.q)
-
-    if args.jobs < 1:
-        error(f"--jobs must be >= 1, got {args.jobs}")
-    # the workers are looked up here, when main runs, so they can be wrapped
-    if args.target == "identity":
-        if args.max_n < 1:
-            error(f"--max-n must be >= 1, got {args.max_n}")
-        worker = _identity_instance
-        instances = [(claim, n) for claim in IDENTITY_IDS if claim in (args.ids or IDENTITY_IDS)
-                     for n in range(_IDENTITIES[claim][0], args.max_n + 1)]
     else:
-        if args.limit < 3:
-            error(f"--limit must be >= 3, got {args.limit}")
-        worker = _congruence_instance
-        instances = [(claim, n) for claim in CONGRUENCE_IDS if claim in (args.ids or CONGRUENCE_IDS)
-                     for n in _CONGRUENCES[claim](args.limit)]
+        if args.jobs < 1:
+            error(f"--jobs must be >= 1, got {args.jobs}")
+        # the workers are looked up here, when main runs, so they can be wrapped
+        if args.target == "identity":
+            if args.max_n < 1:
+                error(f"--max-n must be >= 1, got {args.max_n}")
+            worker = _identity_instance
+            instances = [(claim, n) for claim in IDENTITY_IDS if claim in (args.ids or IDENTITY_IDS)
+                         for n in range(_IDENTITIES[claim][0], args.max_n + 1)]
+        else:
+            if args.limit < 3:
+                error(f"--limit must be >= 3, got {args.limit}")
+            worker = _congruence_instance
+            instances = [(claim, n) for claim in CONGRUENCE_IDS if claim in (args.ids or CONGRUENCE_IDS)
+                         for n in _CONGRUENCES[claim](args.limit)]
+        try:
+            out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        except OSError as exc:
+            error(f"cannot open --out {args.out}: {exc.strerror}")
     try:
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:
-        error(f"cannot open --out {args.out}: {exc.strerror}")
-    try:
+        if args.command == "eval":
+            return _cmd_eval(args.n, args.q)
         return _cmd_verify(worker, instances, args.jobs, args.format, out)
     except BrokenPipeError:
         # the interpreter flushes stdout once more at exit; let that flush land in /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except Exception as exc:  # every instance is in-domain, so any error is a fault
+    except OSError as exc:  # a full disk or a failing device is the system's fault, not qcong's
+        print(f"qcong: system error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # every input is in-domain, so any error is a fault
         print(f"qcong: internal inconsistency: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 

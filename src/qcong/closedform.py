@@ -14,9 +14,9 @@ closed form is a polynomial and q = 1 is a point like any other.
 
 Each closed form is a sparse integer numerator over a power (1-q)^r,
 r <= 3.  Dividing by 1 - q is one prefix-sum pass, whose last entry is
-the numerator's value at q = 1 and must vanish; r passes give the
-polynomial quotient.  Only a numerator that (1-q)^r does not divide goes
-through the generic gcd reduction.
+the numerator's value at q = 1; r passes that each leave 0 give the
+polynomial quotient.  A pass that leaves a remainder stops, as what is
+left is coprime to the rest of (1-q)^r, so no gcd ever runs.
 """
 
 from __future__ import annotations
@@ -36,17 +36,18 @@ def _sparse(terms) -> QPoly:
 
 
 def _exact_over(num: QPoly, r: int) -> QRat:
-    """num / (1-q)^r as a canonical QRat.
+    """num / (1-q)^r as a canonical QRat, with no gcd.
 
-    When (1-q)^r divides num the quotient comes from r prefix-sum passes
-    and the gcd is skipped; otherwise the generic reduction keeps the
-    value exact.
+    Pass i divides by 1 - q as a prefix sum whose last entry is the
+    numerator at q = 1; if that is nonzero, the numerator is coprime to
+    the (1-q)^(r-i) left, so the pair is already reduced.
     """
     cs = num.coeffs
-    for _ in range(r):
-        cs = list(accumulate(cs))
-        if cs and cs.pop():
-            return QRat(num, QPoly([1, -1]) ** r)
+    for i in range(r):
+        quotient = list(accumulate(cs))
+        if quotient and quotient.pop():
+            return QRat._from_reduced(QPoly(cs), QPoly([1, -1]) ** (r - i))
+        cs = quotient
     return QRat(QPoly(cs))
 
 

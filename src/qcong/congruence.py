@@ -2,33 +2,12 @@
 
 eq1-eq4 are q-congruences: single (eq1, eq2) and double (eq3, eq4)
 partial sums of the two term families must vanish modulo [n] for odd n.
-Each check can run through two pipelines, and the verdicts must agree;
-a report is untimed, so both return the same one when the claim holds:
-
-- "folded" (the default) builds every term from its cyclotomic exponents
-  over an integer common denominator coprime to [n] and works on the
-  numerators modulo [n]: each product is folded modulo q^n - 1 and then
-  reduced modulo [n], so the summed numerators are the residue;
-- "reduced" works over the binomial common denominator
-  D = sign * prod Phi_d^m_d and decides by valuations: [n] is the
-  squarefree product of Phi_d over d | n, d > 1, so the sum vanishes
-  modulo [n] iff Phi_d divides the summed numerator more than m_d times
-  for every such d.  At q = zeta_d (1 + t) each term numerator is t^c_k
-  times a unit, c_k >= m_d, and the verdict at d is the sum of the units'
-  constant terms over c_k = m_d, modulo Phi_d.
-
-The two build the sum from different data: the folded path from the
-term exponents, never expanding a binomial product or dividing by a
-cyclotomic; the reduced path from the term binomials, each read at
-depth 1 at the roots of unity of [n], never folding modulo q^n - 1,
-reading a term exponent or factoring a binomial: m_d and each c_k count
-the binomials whose own local series has a vanishing constant term.
-Both take the family name, "c" or "cp", and never the oracle's terms.
-What they and the oracle share is pinned by tests/test_independence.py,
-and oracles that never call their one product kernel, sums._cyclic_mul,
-check each path's numerators, so an error in how either path builds,
-cancels or combines terms shows as a disagreement or an oracle failure
-instead of being repeated by the other.
+Each check can run through two pipelines, "folded" (the default) and
+"reduced", and the verdicts must agree; a report is untimed, so both
+return the same one when the claim holds.  How each pipeline builds its
+verdict is in the docstring of sums; that the two stay arithmetically
+independent, so that their agreement means something, is pinned by
+tests/test_independence.py.
 
 eq5-eq8 are congruences of the rational double sums at the binomial
 level: writing S(x, p) for the sum over k < p of x^k times the inner

@@ -339,23 +339,16 @@ class QPoly(_Frozen):
         done, text = _LAST
         # canonical coefficients fix the text, so an extension of the last one extends its text
         start = len(done) if cs[: len(done)] == done else 0
-        parts = [
-            f"+ {m}" if c == 1 else f"- {m}" if c == -1
-            else f"+ {c}*{m}" if c > 0 else f"- {-c}*{m}"
-            for e, c in enumerate(cs[start:], start)
-            if c
+        terms = "".join(  # every term with its sign: " + 3", " - q", " + 1/2*q^4"
+            f" {s} {a}" if not e else f" {s} {m}" if a == 1 else f" {s} {a}*{m}"
+            for e, c in enumerate(cs[start:], start) if c
+            for s, a in [("+", c) if c > 0 else ("-", -c)]
             for m in ["q" if e == 1 else f"q^{e}"]
-        ]
+        )
         if start:
-            text = " ".join([text, *parts])
-        elif not cs:
-            text = "0"
-        else:
-            if cs[0]:
-                parts[0] = f"+ {cs[0]}" if cs[0] > 0 else f"- {-cs[0]}"
-            first = parts[0]
-            parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
-            text = " ".join(parts)
+            text += terms
+        else:  # a fresh render reads the first sign off once
+            text = terms[3:] if terms[1:2] == "+" else f"-{terms[3:]}" if terms else "0"
         _LAST = cs, text
         return text
 

@@ -558,18 +558,17 @@ def _folded_terms(family: str, n: int) -> tuple:
     other d: e_1 = 0; at odd d > 1 the numerator has at least as many
     1 - q^(2i+1) with d | 2i+1 as the denominator has 1 - q^(4i) with
     d | i; at d = 2d', d' odd, at least twice as many 1 + q^(2i+1) with
-    d' | 2i+1, and no 1 + q^(4i) has such a d.  B_k is kept mod q^n - 1,
-    one rotate-and-add by 1 + q^(2k-1) per step; each nonempty image of
-    "c" takes one product mod [n] by it, signed and rotated by q^(-2k^2).
+    d' | 2i+1, and no 1 + q^(4i) has such a d.  B_k is kept mod q^n - 1
+    from B_0 = 1, times 1 + q^(2k+1) after each use; each nonempty image
+    of "c" takes one product mod [n] by it, signed and rotated by q^(-2k^2).
     """
     if family == "cp":
         images, b = [], [1] + [0] * (n - 1)
         for k, image in enumerate(_folded_terms("c", n)):
-            if k:
-                b = list(map(add, b, _rotate(b, 2 * k - 1)))
             if image:
                 image = tuple(_qint_mul(image, [(-1) ** k * c for c in _rotate(b, -2 * k * k)], n))
             images.append(image)
+            b = list(map(add, b, _rotate(b, 2 * k + 1)))
         return tuple(images)
     terms = [_reduced_term(family, k) for k in range(n)]
     exps = [dict(e) for _, _, e in terms]
@@ -591,12 +590,8 @@ def _folded_terms(family: str, n: int) -> tuple:
         return image
 
     def chain(parts: list) -> list:
-        out, image, have = [], [1], [0] * len(ds)
-        for part in parts:
-            image = times(image, map(sub, part, have))
-            have = part
-            out.append(image)
-        return out
+        steps = (map(sub, part, before) for part, before in zip(parts, [[0] * len(ds)] + parts))
+        return list(accumulate(steps, times, initial=[1]))[1:]
 
     images = []
     for (sign, qpow, _), pre, suf, r in zip(terms, chain(us), chain(vs[::-1])[::-1], rs):

@@ -54,6 +54,7 @@ UNREDUCED = SUMS + "test_terms_match_unreduced_products_by_evaluation"
 WEIGHT_AT_ONE = SUMS + "test_exponent_form_at_q_one_is_the_scalar_weight"
 BRIDGE = SUMS + "test_folded_residues_at_q_one_are_the_scalar_sums_times_the_denominator"
 CP_FROM_C = SUMS + "test_cp_exponents_are_those_of_c_times_the_odd_plus_pochhammer"
+CLOSED_FALLBACK = "tests/test_closedform.py::test_exact_over_falls_back_to_the_canonical_qrat"
 CYCLOTOMIC = [QRING + "test_cyclotomic_examples", QRING + "test_cyclotomic_against_mobius_oracle",
               QRING + "test_cyclotomic_product_equals_q_integer"]
 
@@ -145,15 +146,15 @@ MUTANTS = [
      "_rotate(b, -2 * k * k)]",
      "_rotate(b, 2 * k * k)]",
      [FOLDED_IMAGES]),
-    # folded "cp" images: B_k stepped by 1 + q^(2k+1) instead of 1 + q^(2k-1)
+    # folded "cp" images: B_(k+1) stepped from B_k by 1 + q^(2k-1) instead of 1 + q^(2k+1)
     ("sums.py",
-     "b = list(map(add, b, _rotate(b, 2 * k - 1)))",
      "b = list(map(add, b, _rotate(b, 2 * k + 1)))",
+     "b = list(map(add, b, _rotate(b, 2 * k - 1)))",
      [FOLDED_IMAGES]),
-    # folded "cp" images: 1 + q^(2k-1) with n | 2k-1 taken as 1, not 1 + q^0 = 2
+    # folded "cp" images: 1 + q^(2k+1) with n | 2k+1 taken as 1, not 1 + q^0 = 2
     ("sums.py",
-     "            if k:\n                b = list(map(add, b,",
-     "            if k and (2 * k - 1) % n:\n                b = list(map(add, b,",
+     "            b = list(map(add, b,",
+     "            if (2 * k + 1) % n:\n                b = list(map(add, b,",
      [FOLDED_IMAGES]),
     # folded "cp" images: the product by B_k left modulo q^n - 1, not reduced modulo [n]
     ("sums.py",
@@ -172,8 +173,13 @@ MUTANTS = [
      [FOLDED_IMAGES]),
     # folded images: both chains started at [] instead of [1]
     ("sums.py",
-     "out, image, have = [], [1], [0] * len(ds)",
-     "out, image, have = [], [], [0] * len(ds)",
+     "accumulate(steps, times, initial=[1])",
+     "accumulate(steps, times, initial=[])",
+     [FOLDED_IMAGES]),
+    # folded images: each chain increment taken against the same row, not the row before it
+    ("sums.py",
+     "zip(parts, [[0] * len(ds)] + parts)",
+     "zip(parts, parts + [[0] * len(ds)])",
      [FOLDED_IMAGES]),
     # the shared product kernel: one coefficient off by one, only at d > 64
     ("sums.py",
@@ -285,6 +291,26 @@ MUTANTS = [
      'for m in ["q" if e == 1 else f"q^{e}"]',
      'for m in [f"q^{e}"]',
      [RENDERER, EXTENDS]),
+    # QPoly text: the constant term written as a multiple of q^0
+    ("qring.py",
+     'f" {s} {a}" if not e else ',
+     "",
+     [RENDERER, EXTENDS]),
+    # QPoly text: the first sign read off the leading space, so every fresh render starts with "-"
+    ("qring.py",
+     'terms[1:2] == "+"',
+     'terms[:1] == "+"',
+     [RENDERER, EXTENDS]),
+    # closed forms: a remainder at pass i kept over all of (1-q)^r, not the (1-q)^(r-i) left
+    ("closedform.py",
+     "QPoly([1, -1]) ** (r - i)",
+     "QPoly([1, -1]) ** r",
+     [CLOSED_FALLBACK]),
+    # closed forms: a remainder at pass i returned over the partial quotient, not the numerator
+    ("closedform.py",
+     "_from_reduced(QPoly(cs),",
+     "_from_reduced(QPoly(quotient),",
+     [CLOSED_FALLBACK]),
     # binomial products: 1 - q^m and 1 + q^m swapped
     ("qring.py",
      "sub if s == 1 else add",
@@ -427,10 +453,20 @@ MUTANTS = [
      "except BrokenPipeError:",
      "except ZeroDivisionError:",
      [CLI + "test_closed_stdout_exits_141_quietly"]),
+    # system faults: a failed write reported as an internal inconsistency, not a system error
+    ("cli.py",
+     "except OSError as exc:  # a full disk",
+     "except ZeroDivisionError as exc:  # a full disk",
+     [CLI + "test_a_full_device_exits_3_as_a_system_error"]),
+    # eval: a buffered stdout left to the flush at exit, outside main's handlers
+    ("cli.py",
+     "{_fmt(closed)}\", flush=True)",
+     "{_fmt(closed)}\")",
+     [CLI + "test_eval_with_closed_stdout_exits_141_quietly"]),
     # eval: the closed form read at the weight q/4 instead of at q
     ("cli.py",
-     "_fmt(closedform.closed_form(n).evaluate(q0))",
-     "_fmt(closedform.closed_form(n).evaluate(q0 / 4))",
+     "closedform.closed_form(n).evaluate(q0)",
+     "closedform.closed_form(n).evaluate(q0 / 4)",
      [CLI + "test_eval_prints_the_closed_form_value_at_q_one", CLI + "test_eval_examples"]),
 ]
 

@@ -380,6 +380,50 @@ def test_closed_stdout_exits_141_quietly(jobs):
     assert err == b""
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_eval_with_closed_stdout_exits_141_quietly(buffered):
+    # eval ends inside main's try as verify does; a buffered stdout is flushed there, not at exit
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the child's stdout now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qcong.cli", "eval", "--n", "300", "--q", "2"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+def test_a_fault_inside_eval_exits_3(capsys, monkeypatch):
+    from qcong import sums
+
+    def broken(n, x):
+        raise ZeroDivisionError("division by zero in the double sum")
+
+    monkeypatch.setattr(sums, "double_sum", broken)
+    assert main(["eval", "--n", "3", "--q", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "qcong: internal inconsistency: division by zero in the double sum\n"
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_exits_3_as_a_system_error():
+    # a write that fails for want of space is the system's fault, not an internal inconsistency
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcong.cli", "verify", "identity", "--max-n", "1", "--out", "/dev/full"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["qcong: system error: [Errno 28] No space left on device"]
+
+
 def test_import_loads_no_pool_and_no_dataclasses():
     # a --jobs 1 scan pays only for what it runs; python -S keeps site-packages out
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -74,8 +74,9 @@ def test_closed_forms_run_no_generic_kernel(monkeypatch):
         assert geometric_T(n) == QRat(geometric_T_direct(n)), n
 
 
-def test_exact_over_falls_back_to_the_canonical_qrat():
-    # a numerator the denominator does not divide still reduces exactly;
+def test_exact_over_falls_back_to_the_canonical_qrat(monkeypatch):
+    # a numerator the denominator does not divide still reduces exactly, and with no gcd:
+    # (1-q)^j p over (1-q)^r with p(1) != 0 is p over (1-q)^(r-j), for every j <= r <= 3;
     # sign -1 over (1-q)^3 is the closed form's reading over (q-1)^3
     cases = [
         (closed_form_numerator(n) * Fraction(1, 2), 3, -1, QPoly([-1, 1]) ** 3)
@@ -84,12 +85,23 @@ def test_exact_over_falls_back_to_the_canonical_qrat():
         (QPoly(range(n)) * QPoly([1, -1]) ** 2, 2, 1, QPoly([1, -1]) ** 2)
         for n in (2, 5)
     ]
-    for num, r, sign, den in cases:
-        assert _exact_over(sign * num, r) == QRat(num, den)
-        bumped = num + 1
-        value = _exact_over(sign * bumped, r)
-        assert value.den.degree > 0
-        assert value == QRat(bumped, den)
+    cases += [(num + 1, r, sign, den) for num, r, sign, den in cases]
+    cases += [
+        (p * QPoly([1, -1]) ** j, r, 1, QPoly([1, -1]) ** r)
+        for p in (QPoly([3, -1, 2]), QPoly([Fraction(1, 2), 0, Fraction(-3, 5), 7]))
+        for r in (1, 2, 3)
+        for j in range(r + 1)
+    ]
+    expected = [QRat(num, den) for num, _, _, den in cases]  # before the kernels are refused
+
+    def refuse(*args):
+        raise AssertionError("gcd or division kernel called by _exact_over")
+
+    for name in ("divrem", "poly_gcd"):
+        monkeypatch.setattr(f"qcong.qring.{name}", refuse)
+    for (num, r, sign, den), value in zip(cases, expected):
+        assert _exact_over(sign * num, r) == value, (num, r)
+    assert sum(value.den.degree > 0 for value in expected) == 17
 
 
 coefficients = st.one_of(
